@@ -74,6 +74,10 @@ struct BaselinePoint {
   std::uint64_t iters_rebuild_cold = 0;
   std::uint64_t iters_skeleton_warm = 0;
   double warm_iter_ratio = 0.0;  // skeleton+warm / rebuild+cold iterations
+  // Wall-clock per IPM iteration on the skeleton+warm leg (0 without
+  // iteration counts): mostly the normal-equations assembly, factor and
+  // solves, with slot-LP refresh and simulator overhead folded in.
+  double ms_per_ipm_iter = 0.0;
   double seconds_n_threads = 0.0;
   double speedup = 0.0;  // skeleton+warm serial / N-thread
   bool pool_engaged = false;
@@ -204,6 +208,10 @@ BaselinePerf time_baseline_sweep(const bench::BenchScale& scale) {
               ? static_cast<double>(warm.ipm_iterations) /
                     static_cast<double>(cold.ipm_iterations)
               : 0.0;
+      point.ms_per_ipm_iter =
+          warm.ipm_iterations > 0
+              ? 1e3 * warm.seconds / static_cast<double>(warm.ipm_iterations)
+              : 0.0;
       point.weighted_total = warm.result.weighted_total;
       point.max_violation = warm.result.max_violation;
       point.cost_drift =
@@ -285,7 +293,7 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
         "\"slots\": %zu, \"seconds_rebuild_cold\": %.4f, "
         "\"seconds_skeleton_warm\": %.4f, \"warm_speedup\": %.3f, "
         "\"iters_rebuild_cold\": %llu, \"iters_skeleton_warm\": %llu, "
-        "\"warm_iter_ratio\": %.4f, "
+        "\"warm_iter_ratio\": %.4f, \"ms_per_ipm_iter\": %.4f, "
         "\"seconds_n_threads\": %.4f, \"speedup\": %.3f, "
         "\"pool_engaged\": %s, \"bit_identical\": %s, "
         "\"cost_drift\": %.3e, \"weighted_total\": %.6f, "
@@ -295,7 +303,7 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
         p.seconds_rebuild_cold, p.seconds_skeleton_warm, p.warm_speedup,
         static_cast<unsigned long long>(p.iters_rebuild_cold),
         static_cast<unsigned long long>(p.iters_skeleton_warm),
-        p.warm_iter_ratio, p.seconds_n_threads, p.speedup,
+        p.warm_iter_ratio, p.ms_per_ipm_iter, p.seconds_n_threads, p.speedup,
         p.pool_engaged ? "true" : "false",
         p.bit_identical ? "true" : "false", p.cost_drift, p.weighted_total,
         p.max_violation, i + 1 < perf.points.size() ? "," : "");

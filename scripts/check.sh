@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, ThreadSanitizer smoke of the
-# parallel code paths, the property-harness smoke sweep, and a quick-mode
-# bench sweep that exercises the BENCH_solvers.json emitter end to end.
+# parallel code paths, the property-harness smoke sweep, the e2ebench
+# protocol-parity self-test, and a quick-mode bench sweep that exercises the
+# BENCH_solvers.json emitter end to end.
 #
 #   scripts/check.sh                 # everything
 #   scripts/check.sh fuzz [N] [SEC]  # extended property-harness soak only:
@@ -65,6 +66,9 @@ rm -rf "$prop_dir" && mkdir -p "$prop_dir"
 ./build/examples/prop_fuzz --scenarios 50 --replay-dir "$prop_dir" \
   --summary "$prop_dir/prop_summary.json" || true
 python3 scripts/perf_guard.py "$prop_dir/prop_summary.json"
+
+echo "== e2ebench: protocol-parity and ledger self-test =="
+python3 e2ebench/run.py --self-test
 
 echo "== scripts: python unit tests =="
 if command -v pytest >/dev/null 2>&1; then

@@ -130,9 +130,9 @@ OfflineResult solve_offline(const model::Instance& instance,
 
   OfflineResult result;
   solve::LpSolution sol;
-  // Auto solver choice: the dense IPM wins below a few hundred rows, PDHG
+  // Auto solver choice: the IPM wins below a few hundred rows, PDHG
   // above. Parallel PDHG shifts the crossover downward — its per-iteration
-  // cost drops with the worker count while the IPM's O(rows^3) factor does
+  // cost drops with the worker count while the IPM's serial factor does
   // not — so when LP threads are engaged the IPM cutoff is halved. With
   // ECA_LP_THREADS unset (the default) this resolves to 1 and the choice is
   // unchanged.

@@ -43,7 +43,7 @@ struct OracleOptions {
   double pdhg_rel_tol = 2e-2;
   bool run_offline = true;
   // Offline legs are skipped above this I*J*T budget (the horizon LP is
-  // dense-IPM territory only for small shapes).
+  // IPM territory only for small shapes).
   std::size_t max_offline_cells = 2048;
   int threads_leg = 4;  // worker count of the bitwise slot-parallel leg
   // Fault plan installed (and counters reset) at the start of every oracle

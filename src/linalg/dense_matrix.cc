@@ -113,65 +113,6 @@ void DenseMatrix::add_scaled(const DenseMatrix& other, double alpha) {
   }
 }
 
-bool Cholesky::factor(const DenseMatrix& a) {
-  ECA_CHECK(a.rows() == a.cols(), "Cholesky needs a square matrix");
-  const std::size_t n = a.rows();
-  l_.resize(n, n);  // zero-fill, storage reused across same-size factors
-  ok_ = false;
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) return false;
-    const double ljj = std::sqrt(diag);
-    l_(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= l_(i, k) * l_(j, k);
-      l_(i, j) = v / ljj;
-    }
-  }
-  ok_ = true;
-  return true;
-}
-
-Vec Cholesky::solve(const Vec& b) const {
-  ECA_CHECK(ok_, "Cholesky::solve called before a successful factor()");
-  const std::size_t n = l_.rows();
-  ECA_CHECK(b.size() == n);
-  Vec y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double v = b[i];
-    for (std::size_t k = 0; k < i; ++k) v -= l_(i, k) * y[k];
-    y[i] = v / l_(i, i);
-  }
-  Vec x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double v = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) v -= l_(k, ii) * x[k];
-    x[ii] = v / l_(ii, ii);
-  }
-  return x;
-}
-
-void Cholesky::solve_in_place(Vec& bx) const {
-  ECA_CHECK(ok_, "Cholesky::solve_in_place called before a successful factor()");
-  const std::size_t n = l_.rows();
-  ECA_CHECK(bx.size() == n);
-  // Forward substitution: bx[i] only needs bx[k] for k < i, which already
-  // hold y values; each original entry is read exactly once at its own step.
-  for (std::size_t i = 0; i < n; ++i) {
-    double v = bx[i];
-    for (std::size_t k = 0; k < i; ++k) v -= l_(i, k) * bx[k];
-    bx[i] = v / l_(i, i);
-  }
-  // Back substitution over the same buffer.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double v = bx[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) v -= l_(k, ii) * bx[k];
-    bx[ii] = v / l_(ii, ii);
-  }
-}
-
 bool Lu::factor(const DenseMatrix& a) {
   ECA_CHECK(a.rows() == a.cols(), "LU needs a square matrix");
   const std::size_t n = a.rows();

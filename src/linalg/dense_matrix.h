@@ -1,7 +1,7 @@
-// Row-major dense matrix with the factorizations the solver suite needs:
-// Cholesky (SPD systems inside the barrier method's Woodbury capacitance
-// solve) and partially pivoted LU (general square systems, simplex basis
-// checks in tests).
+// Row-major dense matrix with partially pivoted LU (general square systems:
+// the Newton solver's Schur system, basis checks in tests). The SPD
+// normal-equations factor of the interior-point LP solver lives in
+// linalg/profile_cholesky.h.
 #pragma once
 
 #include <algorithm>
@@ -71,25 +71,6 @@ class DenseMatrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
-};
-
-// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
-// `factor` returns false when A is not (numerically) positive definite.
-class Cholesky {
- public:
-  bool factor(const DenseMatrix& a);
-  // Solves A x = b using the stored factor.
-  [[nodiscard]] Vec solve(const Vec& b) const;
-  // Solves A x = b in place, overwriting `bx` with x. Forward and back
-  // substitution both consume each entry exactly once before overwriting
-  // it, so a single buffer suffices and repeated solves never allocate.
-  // Produces bitwise the same result as solve().
-  void solve_in_place(Vec& bx) const;
-  [[nodiscard]] bool ok() const { return ok_; }
-
- private:
-  DenseMatrix l_;
-  bool ok_ = false;
 };
 
 // LU factorization with partial pivoting, PA = LU.

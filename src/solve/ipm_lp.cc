@@ -7,14 +7,13 @@
 
 #include "common/check.h"
 #include "common/fault.h"
-#include "linalg/dense_matrix.h"
+#include "linalg/profile_cholesky.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace eca::solve {
 
-using linalg::Cholesky;
-using linalg::DenseMatrix;
+using linalg::ProfileCholesky;
 
 namespace {
 
@@ -47,7 +46,8 @@ struct IpmMetrics {
 }  // namespace
 
 // All solver state: the internal standard form, the iterate and scratch
-// vectors, the normal matrix and its Cholesky factor. Everything is sized
+// vectors, the normal matrix's envelope and its Cholesky factor (one
+// storage: the factor overwrites the assembled matrix). Everything is sized
 // with assign()/clear() so buffers keep their capacity across solves — after
 // the first solve of a given shape, subsequent solves do not allocate.
 struct IpmWorkspace::Impl {
@@ -59,10 +59,12 @@ struct IpmWorkspace::Impl {
   Vec c;
   Vec b;
   Vec upper;  // +inf when unbounded above
-  // Column-wise sparse A. The outer vector only ever grows; inner vectors
-  // are cleared (capacity retained) and the first `n` reused per build.
-  std::vector<std::vector<std::pair<std::size_t, double>>> columns;
-  std::size_t columns_in_use = 0;
+  // Compressed-column A: column j holds rows row_index[k] with coefficients
+  // value[k] for k in [col_start[j], col_start[j + 1]), in the order the
+  // LP's triplets list them; a slack column holds its one entry.
+  std::vector<std::size_t> col_start;
+  std::vector<std::size_t> row_index;
+  Vec value;
   double objective_constant = 0.0;
 
   // Mapping back to the original problem.
@@ -75,6 +77,15 @@ struct IpmWorkspace::Impl {
   // --- build scratch -------------------------------------------------------
   Vec shift;
   std::vector<char> has_free;
+  std::vector<std::size_t> slack_row;  // per slack column, in column order
+  Vec slack_coef;                      // -1 (lower-bounded row) or +1
+  std::vector<std::size_t> col_cursor;
+
+  // --- normal equations ----------------------------------------------------
+  // Envelope of A Theta A' (first[r]: smallest row sharing a column with
+  // row r), fixed per standard form, and the matrix assembled in it.
+  std::vector<std::size_t> first;
+  ProfileCholesky normal;
 
   // --- iterate state and per-iteration scratch -----------------------------
   std::vector<std::size_t> upper_set;
@@ -85,8 +96,6 @@ struct IpmWorkspace::Impl {
   Vec dx_aff, dz_aff, dw_aff, dv_aff;
   Vec rxz, rwv;
   Vec tg, atg, atdy;
-  DenseMatrix normal;
-  Cholesky chol;
 
   // --- warm-start candidate scratch ----------------------------------------
   Vec wx, wy, wz, ww, wv, w_aty;
@@ -96,6 +105,10 @@ IpmWorkspace::IpmWorkspace() : impl_(std::make_unique<Impl>()) {}
 IpmWorkspace::~IpmWorkspace() = default;
 IpmWorkspace::IpmWorkspace(IpmWorkspace&&) noexcept = default;
 IpmWorkspace& IpmWorkspace::operator=(IpmWorkspace&&) noexcept = default;
+
+std::size_t IpmWorkspace::normal_profile_size() const {
+  return impl_->normal.profile_size();
+}
 
 namespace {
 
@@ -113,13 +126,8 @@ void build_standard_form(const LpProblem& lp, Impl& sf) {
   sf.c.clear();
   sf.b.clear();
   sf.upper.clear();
-  for (std::size_t j = 0; j < sf.columns_in_use; ++j) sf.columns[j].clear();
-  // Hands out cleared inner vectors in order, growing the outer vector only
-  // past the high-water mark of previous builds.
-  auto next_column = [&sf]() {
-    if (sf.n > sf.columns.size()) sf.columns.emplace_back();
-    ECA_DCHECK(sf.n <= sf.columns.size());
-  };
+  sf.slack_row.clear();
+  sf.slack_coef.clear();
 
   for (std::size_t j = 0; j < lp.num_vars; ++j) {
     const double lb = lp.var_lower[j];
@@ -135,7 +143,6 @@ void build_standard_form(const LpProblem& lp, Impl& sf) {
     sf.c.push_back(lp.objective[j]);
     sf.upper.push_back(ub - lb);
     ++sf.n;
-    next_column();
     sf.objective_constant += lp.objective[j] * lb;
   }
   sf.n_struct = sf.n;
@@ -176,37 +183,63 @@ void build_standard_form(const LpProblem& lp, Impl& sf) {
       sf.c.push_back(0.0);
       sf.upper.push_back(hi == kInf ? kInf : hi_adj - lo_adj);
       ++sf.n;
-      next_column();
-      sf.columns[sf.n - 1].push_back({row, -1.0});
+      sf.slack_row.push_back(row);
+      sf.slack_coef.push_back(-1.0);
     } else {
       // a'x + s = hi, s >= 0.
       sf.b.push_back(hi_adj);
       sf.c.push_back(0.0);
       sf.upper.push_back(kInf);
       ++sf.n;
-      next_column();
-      sf.columns[sf.n - 1].push_back({row, 1.0});
+      sf.slack_row.push_back(row);
+      sf.slack_coef.push_back(1.0);
     }
   }
-  sf.columns_in_use = sf.n;
 
+  // Compressed columns: count, prefix-sum, then scatter the triplets in
+  // their listed order (each column keeps its entries in triplet order).
+  sf.col_start.assign(sf.n + 1, 0);
+  for (const auto& t : lp.elements) {
+    const std::ptrdiff_t col = sf.var_map[t.col];
+    if (col >= 0 && sf.row_map[t.row] >= 0) {
+      ++sf.col_start[static_cast<std::size_t>(col) + 1];
+    }
+  }
+  for (std::size_t j = sf.n_struct; j < sf.n; ++j) sf.col_start[j + 1] = 1;
+  for (std::size_t j = 0; j < sf.n; ++j) sf.col_start[j + 1] += sf.col_start[j];
+  sf.row_index.resize(sf.col_start[sf.n]);
+  sf.value.resize(sf.col_start[sf.n]);
+  sf.col_cursor.assign(sf.col_start.begin(), sf.col_start.end() - 1);
   for (const auto& t : lp.elements) {
     const std::ptrdiff_t col = sf.var_map[t.col];
     const std::ptrdiff_t row = sf.row_map[t.row];
     if (col >= 0 && row >= 0) {
-      sf.columns[static_cast<std::size_t>(col)].push_back(
-          {static_cast<std::size_t>(row), t.value});
+      const std::size_t k = sf.col_cursor[static_cast<std::size_t>(col)]++;
+      sf.row_index[k] = static_cast<std::size_t>(row);
+      sf.value[k] = t.value;
     }
   }
+  for (std::size_t j = sf.n_struct; j < sf.n; ++j) {
+    sf.row_index[sf.col_start[j]] = sf.slack_row[j - sf.n_struct];
+    sf.value[sf.col_start[j]] = sf.slack_coef[j - sf.n_struct];
+  }
+
+  // Symbolic pass: the normal matrix's envelope depends only on A's
+  // pattern. The slot LPs list their J disjoint demand rows first, so the
+  // envelope holds J diagonal entries plus one dense row per coupling row.
+  linalg::normal_envelope(sf.m, sf.col_start, sf.row_index, sf.first);
+  sf.normal.set_envelope(sf.first);
 }
 
-// y = A x (column-wise A).
-void col_multiply(const Impl& sf, const Vec& x, Vec& out) {
+// out = A x over columns [0, ncols) (column-wise A).
+void col_multiply(const Impl& sf, std::size_t ncols, const Vec& x, Vec& out) {
   out.assign(sf.m, 0.0);
-  for (std::size_t j = 0; j < sf.n; ++j) {
+  for (std::size_t j = 0; j < ncols; ++j) {
     const double xj = x[j];
     if (xj == 0.0) continue;
-    for (const auto& [r, v] : sf.columns[j]) out[r] += v * xj;
+    for (std::size_t k = sf.col_start[j]; k < sf.col_start[j + 1]; ++k) {
+      out[sf.row_index[k]] += sf.value[k] * xj;
+    }
   }
 }
 
@@ -215,7 +248,9 @@ void col_multiply_transpose(const Impl& sf, const Vec& y, Vec& out) {
   out.assign(sf.n, 0.0);
   for (std::size_t j = 0; j < sf.n; ++j) {
     double acc = 0.0;
-    for (const auto& [r, v] : sf.columns[j]) acc += v * y[r];
+    for (std::size_t k = sf.col_start[j]; k < sf.col_start[j + 1]; ++k) {
+      acc += sf.value[k] * y[sf.row_index[k]];
+    }
     out[j] = acc;
   }
 }
@@ -256,14 +291,10 @@ double build_warm_candidate(Impl& sf, const LpProblem& lp,
   // Slack coordinates from the structural row activity: each slack column
   // holds a single entry (row, coef) with coef in {-1, +1}, and the row
   // equation a'x + coef*s = b gives s exactly.
-  sf.ax.assign(m, 0.0);
-  for (std::size_t j = 0; j < sf.n_struct; ++j) {
-    const double xj = sf.wx[j];
-    if (xj == 0.0) continue;
-    for (const auto& [r, v] : sf.columns[j]) sf.ax[r] += v * xj;
-  }
+  col_multiply(sf, sf.n_struct, sf.wx, sf.ax);
   for (std::size_t j = sf.n_struct; j < n; ++j) {
-    const auto& [r, coef] = sf.columns[j].front();
+    const std::size_t r = sf.row_index[sf.col_start[j]];
+    const double coef = sf.value[sf.col_start[j]];
     double s = (sf.b[r] - sf.ax[r]) / coef;
     const double hi = sf.upper[j];
     if (hi < kInf) {
@@ -538,11 +569,10 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   dv_aff.assign(n, 0.0);
   rxz.assign(n, 0.0);
   rwv.assign(n, 0.0);
-  DenseMatrix& normal = sf.normal;
-  Cholesky& chol = sf.chol;
+  ProfileCholesky& normal = sf.normal;
 
   auto compute_residuals = [&] {
-    col_multiply(sf, x, ax);
+    col_multiply(sf, n, x, ax);
     for (std::size_t r = 0; r < m; ++r) rb[r] = sf.b[r] - ax[r];
     col_multiply_transpose(sf, y, aty);
     for (std::size_t j = 0; j < n; ++j) rc[j] = sf.c[j] - aty[j] - z[j];
@@ -611,25 +641,14 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
     for (std::size_t j : upper_set) theta[j] += v[j] / w[j];
     for (std::size_t j = 0; j < n; ++j) theta[j] = 1.0 / theta[j];
 
-    // Normal matrix A Theta A' with diagonal regularization; factor once per
-    // iteration, reuse for predictor and corrector.
+    // Normal matrix A Theta A' with diagonal regularization, assembled into
+    // its envelope; factor once per iteration, reuse for predictor and
+    // corrector.
     double reg = options_.regularization * (1.0 + mu);
     bool factorization_failed = false;
     for (;;) {
-      normal.resize(m, m);  // zero-fill; storage reused across iterations
-      for (std::size_t j = 0; j < n; ++j) {
-        const auto& col = sf.columns[j];
-        const double t = theta[j];
-        for (std::size_t p = 0; p < col.size(); ++p) {
-          for (std::size_t q = p; q < col.size(); ++q) {
-            const double val = t * col[p].second * col[q].second;
-            normal(col[p].first, col[q].first) += val;
-            if (p != q) normal(col[q].first, col[p].first) += val;
-          }
-        }
-      }
-      for (std::size_t r = 0; r < m; ++r) normal(r, r) += reg;
-      if (chol.factor(normal)) break;
+      normal.assemble_normal(sf.col_start, sf.row_index, sf.value, theta, reg);
+      if (normal.factor()) break;
       reg = std::max(reg * 100.0, 1e-12);
       if (reg > 1e2) {
         factorization_failed = true;
@@ -650,10 +669,10 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
       }
       // rhs = rb - A Theta g  (note dx = Theta (A'dy + g), A dx = rb)
       for (std::size_t j = 0; j < n; ++j) sf.tg[j] = theta[j] * g[j];
-      col_multiply(sf, sf.tg, sf.atg);
+      col_multiply(sf, n, sf.tg, sf.atg);
       for (std::size_t r = 0; r < m; ++r) rhs[r] = rb[r] - sf.atg[r];
       std::copy(rhs.begin(), rhs.end(), ody.begin());
-      chol.solve_in_place(ody);
+      normal.solve_in_place(ody);
       col_multiply_transpose(sf, ody, sf.atdy);
       for (std::size_t j = 0; j < n; ++j) {
         odx[j] = theta[j] * (sf.atdy[j] + g[j]);

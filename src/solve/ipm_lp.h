@@ -1,20 +1,28 @@
-// Dense Mehrotra predictor-corrector interior-point method for LPs.
+// Mehrotra predictor-corrector interior-point method for LPs.
 //
-// This is the "exact" LP solver of the suite, intended for problems whose row
-// count (after adding one slack per inequality row) is at most a few
-// thousand: per-slot baseline LPs and small full-horizon LPs. It converts the
-// LpProblem to the standard form
+// This is the "exact" LP solver of the suite: per-slot baseline LPs and
+// small full-horizon LPs. It converts the LpProblem to the standard form
 //
 //   min c' x   s.t.  A x = b,  0 <= x,  x_i <= u_i for i with finite bound,
 //
 // eliminating fixed variables, shifting lower bounds to zero and adding one
 // slack per inequality row, then runs the classic predictor-corrector scheme
-// with normal-equations solves (dense Cholesky with diagonal regularization).
+// with normal-equations solves. A is kept in compressed-column form, and the
+// normal matrix A·Θ·A' (plus diagonal regularization) is assembled and
+// Cholesky-factored in its profile (envelope): a symbolic pass per standard
+// form records, for each row, the smallest row it shares a column with
+// (linalg/profile_cholesky.h). The slot LPs list their J disjoint per-user
+// demand rows first, so the envelope is J diagonal entries plus one dense
+// row per coupling row and an iteration costs O(I²J) instead of the dense
+// O((J+2I)³). The profile loops skip only structurally zero terms, so every
+// iterate is bitwise what a dense Cholesky of the same matrix would give;
+// the elimination order is the LP's row order, so reordering rows changes
+// both the envelope (the cost) and the rounding (the results).
 //
 // Repeated solves over same-shaped problems (the per-slot baseline LPs) go
-// through an IpmWorkspace: all standard-form buffers, iterate vectors, the
-// normal matrix and the Cholesky factor live in the workspace and are reused
-// across calls, so a steady-state resolve performs no heap allocation
+// through an IpmWorkspace: all standard-form buffers, iterate vectors and
+// the envelope storage live in the workspace and are reused across calls,
+// so a steady-state resolve performs no heap allocation
 // (tests/solve/ipm_alloc_test.cc pins this down with a counting allocator).
 // A warm start built from the previous slot's primal/dual point can be
 // supplied via IpmWarmStart; when the warm point is rejected the solve falls
@@ -56,6 +64,10 @@ class IpmWorkspace {
   IpmWorkspace& operator=(IpmWorkspace&&) noexcept;
   IpmWorkspace(const IpmWorkspace&) = delete;
   IpmWorkspace& operator=(const IpmWorkspace&) = delete;
+
+  // Stored entries of the normal matrix's envelope for the standard form
+  // of the last solve in this workspace (0 before the first solve).
+  [[nodiscard]] std::size_t normal_profile_size() const;
 
   // Implementation detail, defined in ipm_lp.cc (public so the translation
   // unit's helpers can name it; not part of the supported API).

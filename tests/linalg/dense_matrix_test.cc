@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "linalg/profile_cholesky.h"
 
 namespace eca::linalg {
 namespace {
@@ -20,6 +21,16 @@ DenseMatrix random_spd(Rng& rng, std::size_t n) {
   DenseMatrix spd = a.multiply(a.transpose());
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
   return spd;
+}
+
+// A dense SPD matrix is the full-envelope case of the profile factor.
+ProfileCholesky full_envelope(const DenseMatrix& a) {
+  ProfileCholesky chol;
+  chol.set_envelope(std::vector<std::size_t>(a.rows(), 0));
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t k = 0; k <= i; ++k) chol(i, k) = a(i, k);
+  }
+  return chol;
 }
 
 TEST(DenseMatrix, IdentityMultiplication) {
@@ -67,9 +78,10 @@ TEST_P(FactorizationTest, CholeskySolvesSpdSystem) {
   const DenseMatrix a = random_spd(rng, n);
   Vec b(n);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  Cholesky chol;
-  ASSERT_TRUE(chol.factor(a));
-  const Vec x = chol.solve(b);
+  ProfileCholesky chol = full_envelope(a);
+  ASSERT_TRUE(chol.factor());
+  Vec x = b;
+  chol.solve_in_place(x);
   const Vec ax = a.multiply(x);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
 }
@@ -99,8 +111,8 @@ TEST(Cholesky, RejectsIndefiniteMatrix) {
   a(0, 1) = 2.0;
   a(1, 0) = 2.0;
   a(1, 1) = 1.0;  // eigenvalues 3, -1
-  Cholesky chol;
-  EXPECT_FALSE(chol.factor(a));
+  ProfileCholesky chol = full_envelope(a);
+  EXPECT_FALSE(chol.factor());
 }
 
 TEST(Lu, RejectsSingularMatrix) {

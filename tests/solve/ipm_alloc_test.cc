@@ -2,8 +2,9 @@
 // workspace path: with a warmed IpmWorkspace, the number of heap allocations
 // per solve must be independent of how many IPM iterations run, and a
 // steady-state resolve through solve_into() (workspace + reused solution
-// buffers) must not allocate at all. A counting global operator new makes
-// both checks exact.
+// buffers) must not allocate at all — including the per-build symbolic pass
+// and the normal matrix's envelope storage, on the static and greedy
+// slot-LP shapes. A counting global operator new makes both checks exact.
 //
 // This TU replaces the global allocator, so it gets its own test binary.
 #include <atomic>
@@ -12,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/slot_lp.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "sim/scenario.h"
 #include "solve/ipm_lp.h"
 #include "lp_test_util.h"
 
@@ -133,6 +136,60 @@ TEST(IpmAlloc, SteadyStateWarmResolveIsAllocationFree) {
   g_counting.store(false);
   EXPECT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_EQ(g_alloc_count.load(), 0u);
+}
+
+model::Instance slot_lp_instance() {
+  sim::ScenarioOptions options;
+  options.num_users = 64;
+  options.num_slots = 4;
+  options.seed = 3;
+  return sim::make_random_walk_instance(options);
+}
+
+// Solves `warmup` then counts the allocations of solving `counted` with the
+// same workspace and solution buffers.
+std::size_t steady_state_allocations(const LpProblem& warmup,
+                                     const LpProblem& counted) {
+  IpmWorkspace ws;
+  LpSolution sol;
+  InteriorPointLp solver;
+  solver.solve_into(warmup, ws, IpmWarmStart{}, sol);
+  solver.solve_into(warmup, ws, IpmWarmStart{}, sol);
+
+  g_alloc_count.store(0);
+  g_counting.store(true);
+  solver.solve_into(counted, ws, IpmWarmStart{}, sol);
+  g_counting.store(false);
+  EXPECT_EQ(sol.status, SolveStatus::kOptimal);
+  return g_alloc_count.load();
+}
+
+TEST(IpmAlloc, StaticSlotLpSteadyStateResolveIsAllocationFree) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "allocation counting is unreliable under sanitizers";
+#endif
+  // Every slot's static LP has the same standard-form shape, so a resolve
+  // of the next slot reuses every buffer of the previous one.
+  const model::Instance instance = slot_lp_instance();
+  const LpProblem slot1 = algo::build_static_slot_lp(instance, 1, true, true).lp;
+  const LpProblem slot2 = algo::build_static_slot_lp(instance, 2, true, true).lp;
+  EXPECT_EQ(steady_state_allocations(slot1, slot2), 0u);
+}
+
+TEST(IpmAlloc, GreedySlotLpSteadyStateResolveIsAllocationFree) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "allocation counting is unreliable under sanitizers";
+#endif
+  // The greedy LP's standard form depends on which split variables the
+  // previous allocation fixes at zero, so the steady state is a resolve of
+  // the same LP.
+  const model::Instance instance = slot_lp_instance();
+  model::Allocation prev(instance.num_clouds, instance.num_users);
+  for (std::size_t j = 0; j < instance.num_users; ++j) {
+    prev.at(j % instance.num_clouds, j) = instance.demand[j];
+  }
+  const LpProblem lp = algo::build_greedy_slot_lp(instance, 1, prev).lp;
+  EXPECT_EQ(steady_state_allocations(lp, lp), 0u);
 }
 
 TEST(IpmAlloc, MetricsEnabledKeepsIterationIndependence) {
