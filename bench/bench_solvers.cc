@@ -1,7 +1,7 @@
 // Solver microbenchmarks + the repo's performance trajectory harness.
 //
 // Always runs a timing pass and emits `BENCH_solvers.json` (path override:
-// ECA_BENCH_JSON, schema eca.bench_solvers.v3) so future PRs have numbers
+// ECA_BENCH_JSON, schema eca.bench_solvers.v4) so future PRs have numbers
 // to regress against:
 //  * Newton hot path — a slot sequence of P2 solves with a reused
 //    NewtonWorkspace (the OnlineApprox inner loop): slots/sec, Newton
@@ -15,13 +15,10 @@
 //    with 1 intra-slot thread vs N (ECA_SLOT_THREADS if set, else 8) under
 //    the adaptive-granularity floor, speedup, an active-set leg (slot ms,
 //    speedup over dense, mean/max per-user support, certification rounds,
-//    dense fallbacks), warm vs cold Newton iterations, and a bit-identical
-//    cross-check of the 1-thread and N-thread trajectories. Points the
-//    floor collapses to serial reuse the 1-thread measurement
-//    (pool_engaged=false, speedup 1.0) — the N-thread leg would time the
-//    byte-identical serial path.
-//  * Warm start — a fixed random-walk trajectory solved warm and cold:
-//    mean Newton iterations per slot and the relative reduction.
+//    dense fallbacks), and a bit-identical cross-check of the 1-thread and
+//    N-thread trajectories. Points the floor collapses to serial reuse the
+//    1-thread measurement (pool_engaged=false, speedup 1.0) — the N-thread
+//    leg would time the byte-identical serial path.
 //
 // The original google-benchmark suite (InteriorPointLp / PdhgLp /
 // RegularizedSolver scaling) still runs when ECA_GBENCH=1.
@@ -146,7 +143,7 @@ struct NewtonPerf {
 };
 
 // The OnlineApprox inner loop in isolation: a slot sequence of same-shaped
-// P2 solves, each warm-started from the previous optimum, with a reused
+// P2 solves, each chained to the previous optimum as prev, with a reused
 // workspace (zero allocations in the Newton loop after slot 0).
 NewtonPerf time_newton_path(const bench::BenchScale& scale) {
   NewtonPerf perf;
@@ -225,7 +222,7 @@ RunnerPerf time_runner(const bench::BenchScale& scale) {
 }
 
 // ---------------------------------------------------------------------------
-// Slot sweep + warm start (v2 sections)
+// Slot sweep
 // ---------------------------------------------------------------------------
 
 struct TrajectoryPerf {
@@ -247,11 +244,10 @@ struct TrajectoryPerf {
 // byte-identical problems.
 TrajectoryPerf run_trajectory(const RegularizedProblem& base,
                               std::size_t slots, int slot_threads,
-                              bool warm_start, std::uint64_t walk_seed,
+                              std::uint64_t walk_seed,
                               bool active_set = false) {
   RegularizedOptions opt;
   opt.slot_threads = slot_threads;
-  opt.warm_start = warm_start;
   opt.active_set = active_set;
   RegularizedSolver solver(opt);
   NewtonWorkspace ws;
@@ -294,8 +290,6 @@ struct SweepPoint {
   int support_max = 0;
   int certify_rounds = 0;  // worst per-slot admit-and-resolve round count
   std::size_t active_fallbacks = 0;
-  long long newton_iters_warm = 0;
-  long long newton_iters_cold = 0;
   bool bit_identical = false;
 };
 
@@ -321,9 +315,7 @@ SweepPerf time_slot_sweep(const bench::BenchScale& scale) {
     const RegularizedProblem base = random_p2(rng, sweep.clouds, users);
     const std::uint64_t walk_seed = scale.seed + 7 * users + 1;
     const TrajectoryPerf one =
-        run_trajectory(base, sweep.slots_per_point, 1, true, walk_seed);
-    const TrajectoryPerf cold =
-        run_trajectory(base, sweep.slots_per_point, 1, false, walk_seed);
+        run_trajectory(base, sweep.slots_per_point, 1, walk_seed);
     SweepPoint point;
     point.users = users;
     point.slot_ms_1_thread =
@@ -338,7 +330,7 @@ SweepPerf time_slot_sweep(const bench::BenchScale& scale) {
     if (point.pool_engaged) {
       const TrajectoryPerf many =
           run_trajectory(base, sweep.slots_per_point,
-                         static_cast<int>(sweep.threads), true, walk_seed);
+                         static_cast<int>(sweep.threads), walk_seed);
       point.slot_ms_n_threads =
           many.seconds * 1e3 / static_cast<double>(many.slots);
       point.speedup =
@@ -352,7 +344,7 @@ SweepPerf time_slot_sweep(const bench::BenchScale& scale) {
       point.bit_identical = true;
     }
     const TrajectoryPerf active =
-        run_trajectory(base, sweep.slots_per_point, 1, true, walk_seed,
+        run_trajectory(base, sweep.slots_per_point, 1, walk_seed,
                        /*active_set=*/true);
     point.slot_ms_active =
         active.seconds * 1e3 / static_cast<double>(active.slots);
@@ -364,60 +356,22 @@ SweepPerf time_slot_sweep(const bench::BenchScale& scale) {
     point.support_max = active.support_max;
     point.certify_rounds = active.certify_rounds;
     point.active_fallbacks = active.active_fallbacks;
-    point.newton_iters_warm = one.newton_iterations;
-    point.newton_iters_cold = cold.newton_iterations;
     sweep.points.push_back(point);
     std::printf(
         "sweep J=%5zu: %.2f ms/slot (1 thr), %.2f ms/slot (%zu thr, "
         "pool=%s), %.2fx; active %.2f ms/slot (%.2fx, support %.2f/%d, "
-        "rounds %d, fallbacks %zu), iters warm/cold %lld/%lld, "
-        "bit_identical=%s\n",
+        "rounds %d, fallbacks %zu), bit_identical=%s\n",
         users, point.slot_ms_1_thread, point.slot_ms_n_threads,
         sweep.threads, point.pool_engaged ? "on" : "off", point.speedup,
         point.slot_ms_active, point.active_speedup, point.support_mean,
         point.support_max, point.certify_rounds, point.active_fallbacks,
-        point.newton_iters_warm, point.newton_iters_cold,
         point.bit_identical ? "true" : "false");
   }
   return sweep;
 }
 
-struct WarmStartPerf {
-  std::size_t clouds = 15;
-  std::size_t users = 0;
-  std::size_t slots = 0;
-  double mean_iters_warm = 0.0;
-  double mean_iters_cold = 0.0;
-  double iteration_reduction = 0.0;
-};
-
-WarmStartPerf time_warm_start(const bench::BenchScale& scale) {
-  WarmStartPerf perf;
-  perf.users = 300;  // paper-scale user count
-  // Long enough that slot 0 (necessarily cold in both runs) does not
-  // dilute the per-slot mean.
-  perf.slots = 24;
-  Rng rng(scale.seed + 17);
-  const RegularizedProblem base = random_p2(rng, perf.clouds, perf.users);
-  const std::uint64_t walk_seed = scale.seed + 23;
-  const TrajectoryPerf warm =
-      run_trajectory(base, perf.slots, 1, true, walk_seed);
-  const TrajectoryPerf cold =
-      run_trajectory(base, perf.slots, 1, false, walk_seed);
-  perf.mean_iters_warm = static_cast<double>(warm.newton_iterations) /
-                         static_cast<double>(perf.slots);
-  perf.mean_iters_cold = static_cast<double>(cold.newton_iterations) /
-                         static_cast<double>(perf.slots);
-  perf.iteration_reduction =
-      perf.mean_iters_cold > 0.0
-          ? 1.0 - perf.mean_iters_warm / perf.mean_iters_cold
-          : 0.0;
-  return perf;
-}
-
 void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
                const RunnerPerf& runner, const SweepPerf& sweep,
-               const WarmStartPerf& warm,
                const bench::EventsOverhead& events) {
   const std::string path = env_string("ECA_BENCH_JSON", "BENCH_solvers.json");
   std::FILE* out = std::fopen(path.c_str(), "w");
@@ -438,7 +392,7 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
                                    runner.seconds_n_threads
                              : 0.0;
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"eca.bench_solvers.v3\",\n");
+  std::fprintf(out, "  \"schema\": \"eca.bench_solvers.v4\",\n");
   bench::write_meta_json(out);
   bench::write_events_overhead_json(out, events);
   std::fprintf(out,
@@ -473,37 +427,31 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
                  "\"pool_engaged\": %s, \"slot_ms_active\": %.3f, "
                  "\"active_speedup\": %.3f, \"support_mean\": %.3f, "
                  "\"support_max\": %d, \"certify_rounds\": %d, "
-                 "\"active_fallbacks\": %zu, "
-                 "\"newton_iters_warm\": %lld, \"newton_iters_cold\": %lld, "
-                 "\"bit_identical\": %s}%s\n",
+                 "\"active_fallbacks\": %zu, \"bit_identical\": %s}%s\n",
                  p.users, p.slot_ms_1_thread, p.slot_ms_n_threads, p.speedup,
                  p.pool_engaged ? "true" : "false", p.slot_ms_active,
                  p.active_speedup, p.support_mean, p.support_max,
-                 p.certify_rounds, p.active_fallbacks, p.newton_iters_warm,
-                 p.newton_iters_cold, p.bit_identical ? "true" : "false",
+                 p.certify_rounds, p.active_fallbacks,
+                 p.bit_identical ? "true" : "false",
                  i + 1 < sweep.points.size() ? "," : "");
   }
-  std::fprintf(out, "  ]},\n");
+  std::fprintf(out, "  ]}");
   // Optional solver-telemetry block (absent with ECA_METRICS=off):
   // process-lifetime registry totals over everything the harness above
-  // solved. Additive — readers of eca.bench_solvers.v3 ignore it.
+  // solved. Additive — readers of eca.bench_solvers.v4 ignore it.
   if (obs::metrics_enabled()) {
     const obs::MetricsSnapshot snap =
         obs::MetricsRegistry::global().snapshot();
     std::fprintf(
         out,
-        "  \"telemetry\": {\"solves\": %llu, \"newton_iterations\": %llu, "
-        "\"warm_starts\": %llu, \"warm_fallbacks\": %llu, "
+        ",\n  \"telemetry\": {\"solves\": %llu, \"newton_iterations\": %llu, "
         "\"active_solves\": %llu, \"active_rounds\": %llu, "
         "\"active_fallbacks\": %llu, "
         "\"assembly_seconds\": %.6f, \"factor_seconds\": %.6f, "
-        "\"solve_seconds\": %.6f},\n",
+        "\"solve_seconds\": %.6f}",
         static_cast<unsigned long long>(snap.counter("solver.solves")),
         static_cast<unsigned long long>(
             snap.counter("solver.newton_iterations")),
-        static_cast<unsigned long long>(snap.counter("solver.warm_starts")),
-        static_cast<unsigned long long>(
-            snap.counter("solver.warm_fallbacks")),
         static_cast<unsigned long long>(snap.counter("solver.active_solves")),
         static_cast<unsigned long long>(snap.counter("solver.active_rounds")),
         static_cast<unsigned long long>(
@@ -512,13 +460,7 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
         snap.double_counter("solver.factor_seconds"),
         snap.double_counter("solver.solve_seconds"));
   }
-  std::fprintf(out,
-               "  \"warm_start\": {\"clouds\": %zu, \"users\": %zu, "
-               "\"slots\": %zu, \"mean_iters_warm\": %.3f, "
-               "\"mean_iters_cold\": %.3f, \"iteration_reduction\": %.3f}\n",
-               warm.clouds, warm.users, warm.slots, warm.mean_iters_warm,
-               warm.mean_iters_cold, warm.iteration_reduction);
-  std::fprintf(out, "}\n");
+  std::fprintf(out, "\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", path.c_str());
   std::printf("newton: %zu slots, %lld iters, %.1f slots/sec, %.0f ns/iter\n",
@@ -528,10 +470,6 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
               runner.threads, runner.seconds_one_thread,
               runner.seconds_n_threads, speedup,
               runner.bit_identical ? "true" : "false");
-  std::printf("warm start (J=%zu, %zu slots): %.1f -> %.1f iters/slot "
-              "(%.0f%% fewer)\n",
-              warm.users, warm.slots, warm.mean_iters_cold,
-              warm.mean_iters_warm, 100.0 * warm.iteration_reduction);
 }
 
 }  // namespace
@@ -543,10 +481,9 @@ int main(int argc, char** argv) {
   const NewtonPerf newton = time_newton_path(scale);
   const RunnerPerf runner = time_runner(scale);
   const SweepPerf sweep = time_slot_sweep(scale);
-  const WarmStartPerf warm = time_warm_start(scale);
   const eca::bench::EventsOverhead events =
       eca::bench::measure_default_events_overhead(scale);
-  emit_json(scale, newton, runner, sweep, warm, events);
+  emit_json(scale, newton, runner, sweep, events);
 
   if (eca::env_bool("ECA_GBENCH", false)) {
     benchmark::Initialize(&argc, argv);

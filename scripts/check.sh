@@ -70,6 +70,28 @@ python3 scripts/perf_guard.py "$prop_dir/prop_summary.json"
 echo "== e2ebench: protocol-parity and ledger self-test =="
 python3 e2ebench/run.py --self-test
 
+echo "== e2ebench: one-round reference check per workload =="
+# One untimed round of each workload against e2ebench/references.json, so
+# a reference-cost drift in the Newton, IPM or PDHG paths fails this gate
+# and not only the benchmark pipeline. Seed 0 where it is on record;
+# fig2-taxi records seeds 1-5 only, so it checks seed 1.
+for spec in approx-walk:0 baselines-walk:0 fig2-taxi:1; do
+  workload=${spec%%:*}
+  seed=${spec##*:}
+  if ! out=$(python3 e2ebench/run.py --workload "$workload" --seed "$seed" \
+               --seconds 0 --trace 0) ||
+     ! grep -q "references: match" <<<"$out" ||
+     ! tail -n 1 <<<"$out" | python3 -c \
+         'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)'
+  then
+    echo "$out"
+    echo "error: e2ebench $workload seed $seed is not \"correct\": true" \
+         "against its recorded references" >&2
+    exit 1
+  fi
+  echo "$workload seed $seed: references match"
+done
+
 echo "== scripts: python unit tests =="
 if command -v pytest >/dev/null 2>&1; then
   pytest -q tests/scripts

@@ -6,7 +6,7 @@
 Dispatches on the file's "schema" field and fails (exit 1) when it shows a
 regression the repo has promised not to reintroduce.
 
-eca.bench_solvers.v3 (slot sweep):
+eca.bench_solvers.v4 (slot sweep):
 
   * the active-set path slower than the dense 1-thread path at any point
     with J >= 1024 (small points may legitimately lose to admit-and-resolve
@@ -358,7 +358,7 @@ def check_prop_summary(path, summary):
 
 
 CHECKS = {
-    "eca.bench_solvers.v3": check_solvers,
+    "eca.bench_solvers.v4": check_solvers,
     "eca.bench_offline.v1": check_offline,
     "eca.bench_baselines.v1": check_baselines,
     "eca.bench_scale.v1": check_scale,

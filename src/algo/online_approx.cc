@@ -79,10 +79,11 @@ solve::RegularizedProblem OnlineApprox::build_subproblem(
 
 void OnlineApprox::reset(const Instance& /*instance*/) {
   certificate_.clear();
-  // A reset starts an unrelated trajectory: the duals remembered by the
-  // workspace belong to the previous run's last slot and must not seed the
-  // next run's first solve (repetitions would otherwise not be independent).
-  workspace_.invalidate_warm_start();
+  // A reset starts an unrelated trajectory: the active-set support carried
+  // by the workspace belongs to the previous run's last slot and must not
+  // seed the next run's first solve (repetitions would otherwise not be
+  // independent).
+  workspace_.invalidate_support();
 }
 
 Allocation OnlineApprox::decide(const Instance& instance, std::size_t t,
@@ -94,10 +95,7 @@ Allocation OnlineApprox::decide(const Instance& instance, std::size_t t,
     // Class-collapsed P2: partition on (λ, l_{j,t}, previous column), solve
     // over class totals y = w·x, expand x = y/w and the duals (θ_j = θ'_c,
     // δ_ij = δ'_ic — the collapsed stationarity equation is the per-member
-    // one, so the expanded duals feed the certificate unchanged). When the
-    // class count changes across slots the workspace resize() drops the
-    // carried duals automatically; a stale-but-same-shape correspondence
-    // only costs warm-start quality, never correctness.
+    // one, so the expanded duals feed the certificate unchanged).
     const agg::ClassPartition part =
         agg::build_slot_classes(instance, t, previous);
     last_num_classes_ = part.num_classes;

@@ -27,13 +27,14 @@ void violate(OracleReport& report, const char* fmt, ...) {
 }
 
 // Base OnlineApprox configuration of the reference leg: dense, cold,
-// serial. Every differential leg perturbs exactly one axis of this.
+// serial. Every differential leg perturbs exactly one axis of this. (There
+// is no leg L1: the labels keep their numbers so replay files stay
+// comparable.)
 algo::OnlineApproxOptions base_options(const Scenario& s) {
   algo::OnlineApproxOptions o;
   o.eps1 = s.eps1;
   o.eps2 = s.eps2;
   o.enforce_capacity = s.enforce_capacity;
-  o.solver.warm_start = false;
   o.solver.slot_threads = 1;
   return o;
 }
@@ -180,21 +181,9 @@ OracleReport run_oracle(const Scenario& scenario,
     }
   }
 
-  // --- L1: warm-started ----------------------------------------------------
-  {
-    algo::OnlineApproxOptions o = base;
-    o.solver.warm_start = true;
-    const sim::SimulationResult warm = run_leg(instance, o);
-    check_leg(report, instance, warm, "L1:warm",
-              scenario.enforce_capacity, opts);
-    check_agreement(report, "L1:warm", warm.weighted_total,
-                    reference.weighted_total, opts.rel_tol);
-  }
-
   // --- L2: certified active-set --------------------------------------------
   {
     algo::OnlineApproxOptions o = base;
-    o.solver.warm_start = true;
     o.solver.active_set = true;
     const sim::SimulationResult active = run_leg(instance, o);
     check_leg(report, instance, active, "L2:active-set",
@@ -231,7 +220,6 @@ OracleReport run_oracle(const Scenario& scenario,
   // same for both twins, which is exactly the solver's bit-identity claim.
   {
     algo::OnlineApproxOptions serial_twin = base;
-    serial_twin.solver.warm_start = true;
     serial_twin.solver.chunk_users = 2;
     serial_twin.solver.slot_min_users = 1;
     serial_twin.solver.slot_threads = 1;

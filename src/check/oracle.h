@@ -4,7 +4,6 @@
 // through every solve path the codebase claims is equivalent:
 //
 //   L0  dense / cold / serial OnlineApprox      (the reference leg)
-//   L1  warm-started                            (≈ L0 within rel_tol)
 //   L2  certified active-set                    (≈ L0 within rel_tol)
 //   L3  user-class aggregated                   (≈ L0 within rel_tol)
 //   L4  slot-parallel (N threads)               (bitwise == its serial twin)

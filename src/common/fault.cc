@@ -15,7 +15,7 @@ namespace {
 constexpr int kNumSites = static_cast<int>(FaultSite::kCount);
 
 constexpr const char* kSiteNames[kNumSites] = {
-    "schur_singular", "newton_nan", "iter_cap", "warm_reject",
+    "schur_singular", "newton_nan", "iter_cap",
     "ipm_fail",       "pdhg_fail",  "lp_fail",
 };
 
@@ -34,8 +34,8 @@ std::once_flag g_env_once;
   std::fprintf(stderr,
                "error: invalid ECA_FAULT plan '%s': %s (grammar: "
                "site[@occurrence][,site[@occurrence]...], sites: "
-               "schur_singular newton_nan iter_cap warm_reject ipm_fail "
-               "pdhg_fail lp_fail; unset it to disable)\n",
+               "schur_singular newton_nan iter_cap ipm_fail pdhg_fail "
+               "lp_fail; unset it to disable)\n",
                plan, why.c_str());
   std::exit(2);
 }

@@ -1,7 +1,7 @@
 // Deterministic solver fault injection (DESIGN.md §13).
 //
 // Every documented fallback path in the solve stack — active-set → dense,
-// warm → cold retry, skeleton → rebuild, baseline LP-failure recovery — is
+// IPM warm → cold retry, skeleton → rebuild, baseline LP-failure recovery — is
 // only exercised when numerics actually go wrong, which hand-written tests
 // cannot arrange on demand. The fault seam makes each failure reachable on
 // purpose: a *plan* names a fault site and the 1-based occurrence at which
@@ -15,8 +15,8 @@
 //
 //   plan  := term ("," term)*
 //   term  := site | site "@" occurrence        // bare site means "@1"
-//   site  := schur_singular | newton_nan | iter_cap | warm_reject
-//          | ipm_fail | pdhg_fail | lp_fail
+//   site  := schur_singular | newton_nan | iter_cap | ipm_fail | pdhg_fail
+//          | lp_fail
 //
 // e.g. ECA_FAULT="lp_fail@3" fails the third baseline LP post-solve check
 // (slot 2 of a serial single-algorithm run), ECA_FAULT="newton_nan@5"
@@ -44,8 +44,6 @@ enum class FaultSite : int {
   // One RegularizedSolver solve runs with its Newton iteration budget
   // collapsed to a single iteration (iteration-cap exhaustion).
   kIterCap,
-  // One usable warm-start point is rejected, forcing the cold start.
-  kWarmReject,
   // One interior-point LP attempt reports kNumericalError after solving.
   kIpmFail,
   // One PDHG LP solve reports kIterationLimit after solving.

@@ -33,15 +33,16 @@ inline constexpr const char* kTelemetrySchema = "eca.telemetry.v3";
 struct SolveTelemetry {
   int newton_iterations = 0;
   // Number of strict decreases of the barrier target μ (the continuation
-  // path length; shorter when warm starting re-enters near the end).
+  // path length).
   int mu_steps = 0;
   // KKT quality at exit, both scaled by the solver's cost scale: average
   // complementarity and the infinity norm of the dual residual.
   double kkt_comp_avg = 0.0;
   double kkt_dual_residual = 0.0;
+  // Warm-start outcome flags. The P2 solver cold-starts every slot, so
+  // both stay false; they are kept so the v3 schema and the event flags
+  // keep their shape.
   bool warm_started = false;
-  // Warm start was requested and carried duals existed, but the repaired
-  // point was rejected and the solve fell back to the cold start.
   bool warm_fallback = false;
   // --- Active-set sparsification (schema v2) ---
   // active_set: the solve was requested on the active-set path;

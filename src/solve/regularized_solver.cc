@@ -173,23 +173,22 @@ void NewtonWorkspace::resize(std::size_t num_clouds, std::size_t num_users,
   users_ = num_users;
   chunk_ = chunk_users;
   num_chunks_ = num_users == 0 ? 0 : (num_users + chunk_ - 1) / chunk_;
-  warm_valid = false;     // carried duals match the old shape only
   support_valid = false;  // carried candidate sets match the old shape only
   const std::size_t n = num_clouds * num_users;
   const std::size_t k = num_clouds + num_users + 1;
   for (Vec* v : {&x, &delta, &best_x, &best_delta, &r_dual, &rhs, &dx, &diag,
-                 &inv_diag, &ddelta, &residual, &warm_delta}) {
+                 &inv_diag, &ddelta, &residual, &mig_tau}) {
     v->assign(n, 0.0);
   }
   for (Vec* v : {&rho, &kappa, &best_rho, &best_kappa, &drho, &dkappa,
                  &row_sum, &comp_corr, &rhs_i_term, &recon_term, &rho_except,
                  &dx_agg, &eta_cache, &prev_agg, &slack_agg, &slack_comp,
-                 &slack_cap, &mvec, &beta, &q_vec, &warm_rho, &warm_kappa}) {
+                 &slack_cap, &mvec, &beta, &q_vec}) {
     v->assign(num_clouds, 0.0);
   }
   for (Vec* v : {&theta, &best_theta, &dtheta, &col_sum, &dx_demand,
-                 &tau_cache, &eps2_cache, &slack_demand, &tj, &dj, &wj, &wc,
-                 &warm_theta}) {
+                 &tau_cache, &eps2_cache, &slack_demand, &tj, &dj, &wj,
+                 &wc}) {
     v->assign(num_users, 0.0);
   }
   for (Vec* v : {&wtr, &mw}) v->assign(k, 0.0);
@@ -279,32 +278,6 @@ bool strictly_interior(const Vec& x, const NewtonWorkspace& ws, bool has_comp,
   return true;
 }
 
-// Acceptance test for the repaired warm point: strictly interior with a
-// small relative margin on every linear slack, so a barely-feasible blend
-// (previous optimum from a different problem, or a near-degenerate slot)
-// falls back to the cold start instead of producing huge initial barrier
-// terms. NaNs fail every comparison and land in the fallback too.
-bool warm_point_usable(const RegularizedProblem& p, const NewtonWorkspace& ws,
-                       bool has_comp, bool has_cap, double lambda_total) {
-  for (double v : ws.x) {
-    if (!(v > 0.0)) return false;
-  }
-  for (std::size_t j = 0; j < p.num_users; ++j) {
-    if (!(ws.slack_demand[j] > 1e-10 * (1.0 + p.demand[j]))) return false;
-  }
-  if (has_comp) {
-    for (std::size_t i = 0; i < p.num_clouds; ++i) {
-      if (!(ws.slack_comp[i] > 1e-10 * (1.0 + lambda_total))) return false;
-    }
-  }
-  if (has_cap) {
-    for (std::size_t i = 0; i < p.num_clouds; ++i) {
-      if (!(ws.slack_cap[i] > 1e-10 * (1.0 + p.capacity[i]))) return false;
-    }
-  }
-  return true;
-}
-
 // Cached handles into the global metrics registry. Acquired once (first
 // solve in the process — registration locks and allocates), then every
 // update is a sharded relaxed atomic op: the Newton hot path stays
@@ -316,8 +289,6 @@ bool warm_point_usable(const RegularizedProblem& p, const NewtonWorkspace& ws,
 struct SolverMetrics {
   obs::Counter& solves;
   obs::Counter& newton_iterations;
-  obs::Counter& warm_starts;
-  obs::Counter& warm_fallbacks;
   obs::Histogram& iterations_per_solve;
   obs::Histogram& chunk_assembly_ns;
   obs::DoubleCounter& assembly_seconds;
@@ -336,8 +307,6 @@ struct SolverMetrics {
     static SolverMetrics m{
         obs::MetricsRegistry::global().counter("solver.solves"),
         obs::MetricsRegistry::global().counter("solver.newton_iterations"),
-        obs::MetricsRegistry::global().counter("solver.warm_starts"),
-        obs::MetricsRegistry::global().counter("solver.warm_fallbacks"),
         obs::MetricsRegistry::global().histogram(
             "solver.iterations_per_solve"),
         obs::MetricsRegistry::global().histogram("solver.chunk_assembly_ns"),
@@ -514,94 +483,56 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
   const double cost_scale = 1.0 + linalg::norm_inf(p.linear_cost);
   double mu = options_.initial_mu * cost_scale;
 
-  // --- Primal/dual start: warm (previous slot) or cold ---------------------
-  bool warm = false;
-  const bool warm_requested = options_.warm_start && ws.warm_valid;
-  if (warm_requested) {
-    // Repair x*_{t-1} into a strictly interior point by blending toward the
-    // cold start (built in ws.dx, which is free scratch here). The blend
-    // restores an interior margin even when the previous optimum sits on
-    // the boundary (binding demand rows, x_ij = 0 entries).
-    feasible_start(p, ws.dx);
-    const double blend = std::clamp(options_.warm_blend, 1e-3, 1.0);
-    for (std::size_t idx = 0; idx < n; ++idx) {
-      ws.x[idx] = (1.0 - blend) * p.prev[idx] + blend * ws.dx[idx];
-    }
-    recompute_slacks();
-    if (warm_point_usable(p, ws, has_comp, has_cap, lambda_total) &&
-        !fault_fire(FaultSite::kWarmReject)) {
-      // Carry the previous duals, floored away from zero so every
-      // complementarity pair stays interior. The barrier continuation is
-      // implicit: the loop below re-derives μ from the current average
-      // complementarity each iteration, so the first target is
-      // mu_shrink × (warm duality-gap estimate) instead of initial_mu.
-      const double floor_v = 1e-12 * cost_scale;
-      for (std::size_t idx = 0; idx < n; ++idx) {
-        ws.delta[idx] = std::max(ws.warm_delta[idx], floor_v);
-      }
-      for (std::size_t j = 0; j < kJ; ++j) {
-        ws.theta[j] = std::max(ws.warm_theta[j], floor_v);
-      }
-      linalg::fill(ws.rho, 0.0);
-      linalg::fill(ws.kappa, 0.0);
-      if (has_comp) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.rho[i] = std::max(ws.warm_rho[i], floor_v);
-        }
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.kappa[i] = std::max(ws.warm_kappa[i], floor_v);
-        }
-      }
-      warm = true;
-    }
-  }
-  if (!warm) {
-    // Cold start — identical to the warm_start=false path, so a warm-start
-    // fallback reproduces the cold solve bit for bit.
-    feasible_start(p, ws.x);
+  // --- Cold primal/dual start ---------------------------------------------
+  // Every slot starts here: under user mobility the previous optimum is a
+  // worse start than the analytic one (DESIGN.md §7).
+  feasible_start(p, ws.x);
+  recompute_slacks();
+  if (!strictly_interior(ws.x, ws, has_comp, has_cap)) {
+    const double scale =
+        kI >= 2 ? std::max(2.0, 2.0 * static_cast<double>(kI) /
+                                    static_cast<double>(kI - 1))
+                : 1.1;
+    uniform_start(p, scale, ws.x);
     recompute_slacks();
     if (!strictly_interior(ws.x, ws, has_comp, has_cap)) {
-      const double scale =
-          kI >= 2 ? std::max(2.0, 2.0 * static_cast<double>(kI) /
-                                      static_cast<double>(kI - 1))
-                  : 1.1;
-      uniform_start(p, scale, ws.x);
-      recompute_slacks();
-      if (!strictly_interior(ws.x, ws, has_comp, has_cap)) {
-        sol.status = SolveStatus::kNumericalError;
-        ws.warm_valid = false;
-        return sol;
-      }
-    }
-    linalg::fill(ws.rho, 0.0);
-    linalg::fill(ws.kappa, 0.0);
-    for (std::size_t idx = 0; idx < n; ++idx) ws.delta[idx] = mu / ws.x[idx];
-    for (std::size_t j = 0; j < kJ; ++j) {
-      ws.theta[j] = mu / ws.slack_demand[j];
-    }
-    if (has_comp) {
-      for (std::size_t i = 0; i < kI; ++i) ws.rho[i] = mu / ws.slack_comp[i];
-    }
-    if (has_cap) {
-      for (std::size_t i = 0; i < kI; ++i) ws.kappa[i] = mu / ws.slack_cap[i];
+      sol.status = SolveStatus::kNumericalError;
+      return sol;
     }
   }
-  sol.warm_started = warm;
-  sol.stats.warm_started = warm;
-  sol.stats.warm_fallback = warm_requested && !warm;
+  linalg::fill(ws.rho, 0.0);
+  linalg::fill(ws.kappa, 0.0);
+  for (std::size_t idx = 0; idx < n; ++idx) ws.delta[idx] = mu / ws.x[idx];
+  for (std::size_t j = 0; j < kJ; ++j) {
+    ws.theta[j] = mu / ws.slack_demand[j];
+  }
+  if (has_comp) {
+    for (std::size_t i = 0; i < kI; ++i) ws.rho[i] = mu / ws.slack_comp[i];
+  }
+  if (has_cap) {
+    for (std::size_t i = 0; i < kI; ++i) ws.kappa[i] = mu / ws.slack_cap[i];
+  }
 
   const std::size_t k = kI + kJ + 1;  // reduction basis: u_i, a_j, e
   const std::size_t total_constraints = n + kJ + (has_comp ? kI : 0) +
                                         (has_cap ? kI : 0);
-  // Loop-invariant caches: τ_j, ε2_j, η_i and the previous aggregate Xp_i
-  // (objective/gradient would otherwise recompute Xp per call).
+  // Loop-invariant caches: τ_j, ε2_j, η_i, the previous aggregate Xp_i
+  // (objective/gradient would otherwise recompute Xp per call) and b_i/τ_j,
+  // which the residual and assembly passes would otherwise divide out
+  // afresh every iteration. Rows with b_i = 0 never read their entries.
   for (std::size_t j = 0; j < kJ; ++j) {
     ws.tau_cache[j] = p.tau(j);
     ws.eps2_cache[j] = p.eps2_of(j);
   }
-  for (std::size_t i = 0; i < kI; ++i) ws.eta_cache[i] = p.eta(i);
+  for (std::size_t i = 0; i < kI; ++i) {
+    ws.eta_cache[i] = p.eta(i);
+    const double mig = p.migration_price[i];
+    if (mig <= 0.0) continue;
+    double* __restrict mt = ws.mig_tau.data() + i * kJ;
+    const double* __restrict tau = ws.tau_cache.data();
+    ECA_SIMD
+    for (std::size_t j = 0; j < kJ; ++j) mt[j] = mig / tau[j];
+  }
   p.prev_aggregate_into(ws.prev_agg);
 
   // Best-iterate tracking: the pure-LP corner of the problem (no
@@ -817,7 +748,7 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
           double g = p.linear_cost[ij] + rterm;
           if (mig > 0.0) {
             const double e2 = ws.eps2_cache[j];
-            g += mig / ws.tau_cache[j] *
+            g += ws.mig_tau[ij] *
                  std::log((ws.x[ij] + e2) / (p.prev[ij] + e2));
           }
           const double rd = g - ws.delta[ij] - ws.theta[j] - rex + kap;
@@ -890,9 +821,7 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
     // residual starts growing; stop and return the best point.
     if (score > 1e4 * best_score && best_score < 1e-5) break;
 
-    // Target barrier parameter: aggressive but safeguarded decrease. (This
-    // is also the warm start's μ-continuation: on a warm start comp_avg is
-    // the carried point's duality-gap estimate, not initial_mu.)
+    // Target barrier parameter: aggressive but safeguarded decrease.
     const double mu_next = std::max(options_.mu_shrink * comp_avg,
                                     0.1 * options_.final_mu * cost_scale);
     if (mu_next < mu) ++mu_steps;
@@ -929,20 +858,36 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
       for (std::size_t j = j0; j < j1; ++j) ws.col_sum[j] = 0.0;
       for (std::size_t i = 0; i < kI; ++i) {
         const std::size_t base = i * kJ;
-        const double mig = p.migration_price[i];
-        double rpart = 0.0;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t ij = base + j;
-          double d = ws.delta[ij] / ws.x[ij];
-          if (mig > 0.0) {
-            d += mig / ws.tau_cache[j] / (ws.x[ij] + ws.eps2_cache[j]);
+        double* __restrict col_sum = ws.col_sum.data();
+        const double* __restrict e2 = ws.eps2_cache.data();
+        const double* __restrict x = ws.x.data() + base;
+        const double* __restrict dl = ws.delta.data() + base;
+        const double* __restrict mt = ws.mig_tau.data() + base;
+        double* __restrict diag = ws.diag.data() + base;
+        double* __restrict inv = ws.inv_diag.data() + base;
+        // Element-wise first (vectorizable: no carried sum), one version
+        // per row kind so the b_i test leaves the inner loop; then r_i as
+        // the ascending-j sum of the stored inverses. Sums stay in
+        // ascending j: their order is part of the bit-identity contract.
+        if (p.migration_price[i] > 0.0) {
+          ECA_SIMD
+          for (std::size_t j = j0; j < j1; ++j) {
+            const double d = dl[j] / x[j] + mt[j] / (x[j] + e2[j]);
+            diag[j] = d;
+            inv[j] = 1.0 / d;
+            col_sum[j] += inv[j];
           }
-          ws.diag[ij] = d;
-          const double b = 1.0 / d;
-          ws.inv_diag[ij] = b;
-          rpart += b;
-          ws.col_sum[j] += b;
+        } else {
+          ECA_SIMD
+          for (std::size_t j = j0; j < j1; ++j) {
+            const double d = dl[j] / x[j];
+            diag[j] = d;
+            inv[j] = 1.0 / d;
+            col_sum[j] += inv[j];
+          }
         }
+        double rpart = 0.0;
+        for (std::size_t j = j0; j < j1; ++j) rpart += inv[j];
         ia[i] = rpart;
       }
       double total_part = 0.0;
@@ -1047,13 +992,21 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
     for_chunks([&](std::size_t c) {
       const std::size_t j0 = chunk_begin(c);
       const std::size_t j1 = chunk_end(c);
+      // μ/s_j − θ_j once per user (dx_demand is free until the dual step).
+      double* __restrict dterm = ws.dx_demand.data();
+      for (std::size_t j = j0; j < j1; ++j) {
+        dterm[j] = mu / ws.slack_demand[j] - ws.theta[j];
+      }
       for (std::size_t i = 0; i < kI; ++i) {
         const std::size_t base = i * kJ;
         const double iterm = ws.rhs_i_term[i];
+        const double* __restrict rd = ws.r_dual.data() + base;
+        const double* __restrict x = ws.x.data() + base;
+        const double* __restrict dl = ws.delta.data() + base;
+        double* __restrict rhs = ws.rhs.data() + base;
+        ECA_SIMD
         for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t ij = base + j;
-          ws.rhs[ij] = -ws.r_dual[ij] + (mu / ws.x[ij] - ws.delta[ij]) +
-                       (mu / ws.slack_demand[j] - ws.theta[j]) + iterm;
+          rhs[j] = -rd[j] + (mu / x[j] - dl[j]) + dterm[j] + iterm;
         }
       }
     });
@@ -1081,18 +1034,29 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
       for (std::size_t j = j0; j < j1; ++j) ws.dx_demand[j] = 0.0;
       for (std::size_t i = 0; i < kI; ++i) {
         const std::size_t base = i * kJ;
-        double acc = 0.0;
+        double* __restrict dx_demand = ws.dx_demand.data();
+        const double* __restrict dx = ws.dx.data() + base;
+        const double* __restrict x = ws.x.data() + base;
+        const double* __restrict dl = ws.delta.data() + base;
+        double* __restrict ddl = ws.ddelta.data() + base;
+        ECA_SIMD
         for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t ij = base + j;
-          const double d = ws.dx[ij];
-          acc += d;
-          ws.dx_demand[j] += d;
-          const double dd =
-              (mu - ws.x[ij] * ws.delta[ij] - ws.delta[ij] * d) / ws.x[ij];
-          ws.ddelta[ij] = dd;
-          if (d < 0.0) ap = std::min(ap, -ws.x[ij] / d);
-          if (dd < 0.0) ad = std::min(ad, -ws.delta[ij] / dd);
+          dx_demand[j] += dx[j];
+          ddl[j] = (mu - x[j] * dl[j] - dl[j] * dx[j]) / x[j];
         }
+        // Branch-free ratio tests: a non-negative (or NaN) direction
+        // selects 1.0, which never lowers ap/ad (both start at 1.0), and
+        // min is order-independent, so vectorizing cannot change a bit.
+        ECA_SIMD_REDUCTION(min, ap)
+        for (std::size_t j = j0; j < j1; ++j) {
+          ap = std::min(ap, dx[j] < 0.0 ? -x[j] / dx[j] : 1.0);
+        }
+        ECA_SIMD_REDUCTION(min, ad)
+        for (std::size_t j = j0; j < j1; ++j) {
+          ad = std::min(ad, ddl[j] < 0.0 ? -dl[j] / ddl[j] : 1.0);
+        }
+        double acc = 0.0;
+        for (std::size_t j = j0; j < j1; ++j) acc += dx[j];
         ia[i] = acc;
       }
       for (std::size_t j = j0; j < j1; ++j) {
@@ -1212,8 +1176,6 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
     SolverMetrics& sm = SolverMetrics::get();
     sm.solves.add();
     sm.newton_iterations.add(static_cast<std::uint64_t>(iter));
-    if (warm) sm.warm_starts.add();
-    if (sol.stats.warm_fallback) sm.warm_fallbacks.add();
     sm.iterations_per_solve.record(static_cast<std::uint64_t>(iter));
     sm.assembly_seconds.add(sol.stats.assembly_seconds);
     sm.factor_seconds.add(sol.stats.factor_seconds);
@@ -1227,18 +1189,6 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
     sol.status = SolveStatus::kOptimal;
   } else {
     sol.status = SolveStatus::kIterationLimit;
-  }
-  // Remember the duals for the next slot's warm start (same-size assigns,
-  // no allocation on reuse). Anything short of an optimal certificate is
-  // not worth carrying.
-  if (sol.status == SolveStatus::kOptimal) {
-    ws.warm_delta = sol.delta;
-    ws.warm_theta = sol.theta;
-    ws.warm_rho = sol.rho;
-    ws.warm_kappa = sol.kappa;
-    ws.warm_valid = true;
-  } else {
-    ws.warm_valid = false;
   }
   return sol;
 }
@@ -1340,7 +1290,7 @@ RegularizedSolution RegularizedSolver::solve_active(
       ws.active_mask[idx] = 1;
     }
   }
-  if (options_.warm_start && ws.support_valid && ws.carry_mask.size() == n) {
+  if (ws.support_valid && ws.carry_mask.size() == n) {
     for (std::size_t idx = 0; idx < n; ++idx) {
       ws.active_mask[idx] |= ws.carry_mask[idx];
     }
@@ -1358,8 +1308,6 @@ RegularizedSolution RegularizedSolver::solve_active(
   std::size_t support_max = 0;
   int total_iters = 0;
   int total_mu_steps = 0;
-  bool any_warm = false;
-  bool warm_fb = false;
   double exit_comp = 0.0;
   double exit_dual = 0.0;
   double worst_deficit = 0.0;
@@ -1532,91 +1480,30 @@ RegularizedSolution RegularizedSolver::solve_active(
       }
       return true;
     };
-    const auto warm_usable = [&] {
-      for (double v : ws.xs) {
-        if (!(v > 0.0)) return false;
-      }
-      for (std::size_t j = 0; j < kJ; ++j) {
-        if (!(ws.slack_demand[j] > 1e-10 * (1.0 + p.demand[j]))) return false;
-      }
-      if (has_comp) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          if (!(ws.slack_comp[i] > 1e-10 * (1.0 + lambda_total))) return false;
-        }
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          if (!(ws.slack_cap[i] > 1e-10 * (1.0 + p.capacity[i]))) {
-            return false;
-          }
-        }
-      }
-      return true;
-    };
 
-    // --- Primal/dual start: warm (previous slot) or cold -------------------
+    // --- Cold primal/dual start -------------------------------------------
     double mu = options_.initial_mu * cost_scale;
-    bool warm = false;
-    const bool warm_requested = options_.warm_start && ws.warm_valid;
-    if (warm_requested) {
-      cold_start(ws.dx_s);
-      const double blend = std::clamp(options_.warm_blend, 1e-3, 1.0);
-      for (std::size_t pos = 0; pos < nnz; ++pos) {
-        ws.xs[pos] = (1.0 - blend) * ws.prev_s[pos] + blend * ws.dx_s[pos];
-      }
-      recompute_slacks();
-      if (warm_usable() && !fault_fire(FaultSite::kWarmReject)) {
-        const double floor_v = 1e-12 * cost_scale;
-        for (std::size_t j = 0; j < kJ; ++j) {
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            ws.delta_s[pos] = std::max(
-                ws.warm_delta[ws.sup_cloud[pos] * kJ + j], floor_v);
-          }
-          ws.theta[j] = std::max(ws.warm_theta[j], floor_v);
-        }
-        linalg::fill(ws.rho, 0.0);
-        linalg::fill(ws.kappa, 0.0);
-        if (has_comp) {
-          for (std::size_t i = 0; i < kI; ++i) {
-            ws.rho[i] = std::max(ws.warm_rho[i], floor_v);
-          }
-        }
-        if (has_cap) {
-          for (std::size_t i = 0; i < kI; ++i) {
-            ws.kappa[i] = std::max(ws.warm_kappa[i], floor_v);
-          }
-        }
-        warm = true;
-      }
+    cold_start(ws.xs);
+    recompute_slacks();
+    if (!interior()) {
+      reduced_failed = true;
+      break;
     }
-    if (!warm) {
-      cold_start(ws.xs);
-      recompute_slacks();
-      if (!interior()) {
-        reduced_failed = true;
-        break;
-      }
-      linalg::fill(ws.rho, 0.0);
-      linalg::fill(ws.kappa, 0.0);
-      for (std::size_t pos = 0; pos < nnz; ++pos) {
-        ws.delta_s[pos] = mu / ws.xs[pos];
-      }
-      for (std::size_t j = 0; j < kJ; ++j) {
-        ws.theta[j] = mu / ws.slack_demand[j];
-      }
-      if (has_comp) {
-        for (std::size_t i = 0; i < kI; ++i) ws.rho[i] = mu / ws.slack_comp[i];
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.kappa[i] = mu / ws.slack_cap[i];
-        }
-      }
+    linalg::fill(ws.rho, 0.0);
+    linalg::fill(ws.kappa, 0.0);
+    for (std::size_t pos = 0; pos < nnz; ++pos) {
+      ws.delta_s[pos] = mu / ws.xs[pos];
     }
-    if (round == 1) {
-      any_warm = warm;
-      warm_fb = warm_requested && !warm;
+    for (std::size_t j = 0; j < kJ; ++j) {
+      ws.theta[j] = mu / ws.slack_demand[j];
+    }
+    if (has_comp) {
+      for (std::size_t i = 0; i < kI; ++i) ws.rho[i] = mu / ws.slack_comp[i];
+    }
+    if (has_cap) {
+      for (std::size_t i = 0; i < kI; ++i) {
+        ws.kappa[i] = mu / ws.slack_cap[i];
+      }
     }
 
     const std::size_t total_constraints =
@@ -2279,25 +2166,17 @@ RegularizedSolution RegularizedSolver::solve_active(
   sol.objective_value = p.objective(sol.x, ws.prev_agg);
   sol.status = SolveStatus::kOptimal;
   sol.newton_iterations = total_iters;
-  sol.warm_started = any_warm;
   sol.stats.newton_iterations = total_iters;
   sol.stats.mu_steps = total_mu_steps;
   sol.stats.kkt_comp_avg = exit_comp;
   sol.stats.kkt_dual_residual = exit_dual;
-  sol.stats.warm_started = any_warm;
-  sol.stats.warm_fallback = warm_fb;
   sol.stats.active_rounds = round;
   sol.stats.active_nnz = static_cast<long long>(nnz);
   sol.stats.active_support_max = static_cast<int>(support_max);
   sol.stats.certify_residual = worst_deficit;
 
-  // Warm-start + support carry for the next slot: duals as in the dense
-  // path, plus the certified support pruned to entries above the floor.
-  ws.warm_delta = sol.delta;
-  ws.warm_theta = sol.theta;
-  ws.warm_rho = sol.rho;
-  ws.warm_kappa = sol.kappa;
-  ws.warm_valid = true;
+  // Support carry for the next slot: the certified support pruned to
+  // entries above the floor.
   ws.carry_mask.assign(n, 0);
   for (std::size_t j = 0; j < kJ; ++j) {
     const double floor_j = prev_rel * ws.eps2_cache[j];
@@ -2317,8 +2196,6 @@ RegularizedSolution RegularizedSolver::solve_active(
     SolverMetrics& sm = SolverMetrics::get();
     sm.solves.add();
     sm.newton_iterations.add(static_cast<std::uint64_t>(total_iters));
-    if (any_warm) sm.warm_starts.add();
-    if (warm_fb) sm.warm_fallbacks.add();
     sm.iterations_per_solve.record(static_cast<std::uint64_t>(total_iters));
     sm.assembly_seconds.add(sol.stats.assembly_seconds);
     sm.factor_seconds.add(sol.stats.factor_seconds);

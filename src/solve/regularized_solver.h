@@ -118,19 +118,6 @@ struct RegularizedOptions {
   int max_newton_per_stage = 60;
   double newton_tolerance = 1e-24;  // stagnation guard on the decrement λ²/2
   bool verbose = false;
-  // Cross-slot warm starting: start the path-following loop from a
-  // feasibility-repaired blend of x*_{t-1} (the problem's `prev`) and the
-  // cold analytic-center start, with the duals carried over from the last
-  // successful solve on this workspace. The barrier parameter then
-  // continues from the warm point's duality-gap estimate (its average
-  // complementarity) instead of restarting at initial_mu — see
-  // DESIGN.md §7. Falls back to the cold start whenever the repaired warm
-  // point is not strictly interior or no previous duals are available.
-  bool warm_start = true;
-  // Blend weight toward the cold interior point during warm-point repair
-  // (x_warm = (1-w)·prev + w·cold). Pulls boundary-hugging previous optima
-  // far enough inside for the barrier to be finite.
-  double warm_blend = 0.1;
   // Intra-slot worker threads for the chunked assembly passes: > 0 wins,
   // 0 defers to ECA_SLOT_THREADS, else 1 (serial). Results are
   // bit-identical for every value.
@@ -180,25 +167,23 @@ struct RegularizedOptions {
 
 // Reusable scratch for RegularizedSolver::solve — every vector, matrix and
 // LU buffer the Newton path-following loop touches, plus the per-chunk
-// partial buffers of the parallel assembly and the carried-over duals of
-// the warm start. After `resize()` the serial (slot_threads <= 1) iteration
-// loop performs zero heap allocations; callers solving a sequence of
-// same-shaped problems (OnlineApprox: one P2 per slot) should hold one
-// workspace across solves, which makes `resize` a no-op, the whole solve
-// allocation-free apart from the returned solution vectors, and warm
-// starting possible (the workspace remembers the previous slot's duals).
+// partial buffers of the parallel assembly. After `resize()` the serial
+// (slot_threads <= 1) iteration loop performs zero heap allocations;
+// callers solving a sequence of same-shaped problems (OnlineApprox: one P2
+// per slot) should hold one workspace across solves, which makes `resize` a
+// no-op and the whole solve allocation-free apart from the returned
+// solution vectors. Every solve cold-starts, so the workspace carries no
+// numeric state between solves; the one exception is the active-set path's
+// certified support, which only seeds the next candidate sets.
 struct NewtonWorkspace {
   void resize(std::size_t num_clouds, std::size_t num_users,
               std::size_t chunk_users = 128);
 
-  // Forget the previous solve's duals (and any carried active-set support)
-  // so the next solve cold-starts; call when starting an unrelated
+  // Forget the carried active-set support so the next solve seeds its
+  // candidate sets from the problem alone; call when starting an unrelated
   // trajectory with the same shape (e.g. OnlineApprox::reset between
   // repetitions).
-  void invalidate_warm_start() {
-    warm_valid = false;
-    support_valid = false;
-  }
+  void invalidate_support() { support_valid = false; }
 
   // Makes sure `pool` has exactly `threads` workers (no-op for <= 1).
   void ensure_pool(std::size_t threads);
@@ -227,8 +212,9 @@ struct NewtonWorkspace {
   // Iterative-refinement buffer and per-cloud serial scratch.
   Vec residual, comp_corr, rhs_i_term, recon_term, rho_except, dx_agg,
       dx_demand;
-  // Loop-invariant caches (η_i, τ_j, ε2_j, Xp_i).
-  Vec eta_cache, tau_cache, eps2_cache, prev_agg;
+  // Loop-invariant caches (η_i, τ_j, ε2_j, Xp_i, and b_i/τ_j per entry of
+  // the rows with b_i > 0 — the dense twin of mt_s below).
+  Vec eta_cache, tau_cache, eps2_cache, prev_agg, mig_tau;
   // Linear-constraint slacks at the current x.
   Vec slack_agg, slack_demand, slack_comp, slack_cap;
   // Per-chunk partials of the deterministic parallel assembly, indexed
@@ -236,9 +222,6 @@ struct NewtonWorkspace {
   // reduced serially in chunk order.
   Vec chunk_ia, chunk_ib, chunk_pp, chunk_sc;
   static constexpr std::size_t kChunkScalars = 4;
-  // Cross-slot warm-start state: duals of the last successful solve.
-  Vec warm_delta, warm_theta, warm_rho, warm_kappa;
-  bool warm_valid = false;
   // --- Active-set state (sized lazily by the active path; stays empty for
   // dense-only workspaces). The candidate sets are stored CSR-by-user:
   // user j's active clouds are sup_cloud[sup_off[j] .. sup_off[j+1])
@@ -276,11 +259,11 @@ struct RegularizedSolution {
   Vec kappa;    // capacity duals κ_i ≥ 0, size I (zero when not enforced)
   double objective_value = 0.0;
   int newton_iterations = 0;
-  // True when this solve actually started from the repaired previous-slot
-  // point (false: cold start, including every warm-start fallback).
+  // Always false: every P2 solve cold-starts (DESIGN.md §7). Kept, with
+  // stats.warm_started/warm_fallback, for the telemetry schema.
   bool warm_started = false;
-  // Convergence telemetry: iteration/μ-step counts, KKT residuals at exit,
-  // warm-start outcome and (when obs::metrics_enabled()) stage timings.
+  // Convergence telemetry: iteration/μ-step counts, KKT residuals at exit
+  // and (when obs::metrics_enabled()) stage timings.
   // `stats.newton_iterations` and `stats.warm_started` mirror the fields
   // above, which stay for source compatibility.
   obs::SolveTelemetry stats;
@@ -294,8 +277,8 @@ class RegularizedSolver {
   [[nodiscard]] RegularizedSolution solve(const RegularizedProblem& p) const;
   // Same, but reusing a caller-owned workspace: no allocations inside the
   // Newton loop (serial path), and (for same-shaped problems) none during
-  // setup either. A workspace that solved the previous slot also enables
-  // the cross-slot warm start (see RegularizedOptions::warm_start).
+  // setup either. The result does not depend on what the workspace solved
+  // before (dense path; the active path seeds from the carried support).
   RegularizedSolution solve(const RegularizedProblem& p,
                             NewtonWorkspace& ws) const;
 

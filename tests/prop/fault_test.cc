@@ -67,7 +67,6 @@ TEST_F(FaultTest, SiteNamesAreStable) {
   EXPECT_STREQ(fault_site_name(FaultSite::kSchurSingular), "schur_singular");
   EXPECT_STREQ(fault_site_name(FaultSite::kNewtonNan), "newton_nan");
   EXPECT_STREQ(fault_site_name(FaultSite::kIterCap), "iter_cap");
-  EXPECT_STREQ(fault_site_name(FaultSite::kWarmReject), "warm_reject");
   EXPECT_STREQ(fault_site_name(FaultSite::kIpmFail), "ipm_fail");
   EXPECT_STREQ(fault_site_name(FaultSite::kPdhgFail), "pdhg_fail");
   EXPECT_STREQ(fault_site_name(FaultSite::kLpFail), "lp_fail");
@@ -76,6 +75,9 @@ TEST_F(FaultTest, SiteNamesAreStable) {
 TEST_F(FaultTest, MalformedPlanExitsWithCode2) {
   EXPECT_EXIT(install_fault_plan("bogus_site"),
               ::testing::ExitedWithCode(2), "ECA_FAULT");
+  // The retired P2 warm-start site is unknown like any other name.
+  EXPECT_EXIT(install_fault_plan("warm_reject"), ::testing::ExitedWithCode(2),
+              "unknown fault site 'warm_reject'");
   EXPECT_EXIT(install_fault_plan("iter_cap@0"),
               ::testing::ExitedWithCode(2), "ECA_FAULT");
   EXPECT_EXIT(install_fault_plan("iter_cap@x"),
@@ -108,7 +110,6 @@ TEST_F(FaultTest, ActiveSetIterCapFallsBackToDense) {
   const model::Instance instance = default_instance();
   algo::OnlineApproxOptions options;
   options.solver.active_set = true;
-  options.solver.warm_start = false;
   algo::OnlineApprox algorithm(options);
   const model::Allocation prev(instance.num_clouds, instance.num_users);
   const solve::RegularizedProblem problem =
@@ -140,7 +141,6 @@ TEST_F(FaultTest, ActiveSetIterCapFallsBackToDense) {
 TEST_F(FaultTest, SchurSingularBailsOutToBestIterate) {
   const model::Instance instance = default_instance();
   algo::OnlineApproxOptions options;
-  options.solver.warm_start = false;
   algo::OnlineApprox algorithm(options);
   const model::Allocation prev(instance.num_clouds, instance.num_users);
   const solve::RegularizedProblem problem =
@@ -165,7 +165,6 @@ TEST_F(FaultTest, SchurSingularBailsOutToBestIterate) {
 TEST_F(FaultTest, NewtonNanIsCaughtByGuard) {
   const model::Instance instance = default_instance();
   algo::OnlineApproxOptions options;
-  options.solver.warm_start = false;
   algo::OnlineApprox algorithm(options);
   const model::Allocation prev(instance.num_clouds, instance.num_users);
   const solve::RegularizedProblem problem =
@@ -183,41 +182,6 @@ TEST_F(FaultTest, NewtonNanIsCaughtByGuard) {
   solve::NewtonWorkspace fresh;
   EXPECT_EQ(solver.solve(problem, fresh).status,
             solve::SolveStatus::kOptimal);
-}
-
-// A rejected (usable) warm point forces the cold start, which is
-// bit-identical to a warm_start=false solve in a fresh workspace.
-TEST_F(FaultTest, WarmRejectReproducesColdSolveBitwise) {
-  const model::Instance instance = default_instance();
-  algo::OnlineApproxOptions options;
-  options.solver.warm_start = true;
-  algo::OnlineApprox algorithm(options);
-  solve::RegularizedSolver solver(options.solver);
-  solve::NewtonWorkspace ws;
-
-  model::Allocation prev(instance.num_clouds, instance.num_users);
-  const solve::RegularizedProblem slot0 =
-      algorithm.build_subproblem(instance, 0, prev);
-  const solve::RegularizedSolution first = solver.solve(slot0, ws);
-  ASSERT_EQ(first.status, solve::SolveStatus::kOptimal);
-  prev.x = first.x;
-  const solve::RegularizedProblem slot1 =
-      algorithm.build_subproblem(instance, 1, prev);
-
-  install_fault_plan("warm_reject@1");
-  const solve::RegularizedSolution rejected = solver.solve(slot1, ws);
-  EXPECT_EQ(fault_fired_count(FaultSite::kWarmReject), 1u);
-  EXPECT_FALSE(rejected.warm_started);
-  ASSERT_EQ(rejected.status, solve::SolveStatus::kOptimal);
-
-  install_fault_plan(nullptr);
-  solve::RegularizedOptions cold_options = options.solver;
-  cold_options.warm_start = false;
-  solve::NewtonWorkspace fresh;
-  const solve::RegularizedSolution cold =
-      solve::RegularizedSolver(cold_options).solve(slot1, fresh);
-  ASSERT_EQ(cold.status, solve::SolveStatus::kOptimal);
-  EXPECT_TRUE(bitwise_equal(rejected.x, cold.x));
 }
 
 // A failed warm-started IPM attempt retries cold; the recovery flips

@@ -1,12 +1,13 @@
 // Correctness contract of the active-set sparsified P2 solve
 // (RegularizedOptions::active_set): the certified reduced solution must
 // agree with the dense path within the certification tolerance, violated
-// pinned variables must be admitted and re-solved, support must carry
-// across warm-started slots (and be dropped on invalidation or shape
-// change), and reduced-infeasible candidate sets must land in the
+// pinned variables must be admitted and re-solved, the certified support
+// must seed the next slot's candidate sets (and be dropped on invalidation
+// or shape change), and reduced-infeasible candidate sets must land in the
 // guaranteed dense fallback — never in a wrong answer.
 #include <cmath>
 #include <cstddef>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +118,9 @@ TEST(ActiveSet, AdversarialInstanceForcesCertificationGrowth) {
 }
 
 TEST(ActiveSet, SupportCarriesAcrossWarmStartedSlots) {
+  // Only the candidate sets are warm-started: iterates and duals always
+  // start cold, but a workspace that certified the previous slot seeds the
+  // next slot's candidate sets with that support.
   Rng rng(23);
   RegularizedProblem p = random_problem(rng, 8, 150);
   RegularizedOptions opt;
@@ -125,21 +129,36 @@ TEST(ActiveSet, SupportCarriesAcrossWarmStartedSlots) {
   NewtonWorkspace ws;
   const RegularizedSolution first = solver.solve(p, ws);
   ASSERT_EQ(first.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(first.warm_started);  // nothing to carry on slot 0
 
-  p.prev = first.x;
-  for (auto& v : p.linear_cost) v *= rng.uniform(0.95, 1.05);
-  const RegularizedSolution second = solver.solve(p, ws);
-  ASSERT_EQ(second.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(second.warm_started);
-  EXPECT_FALSE(second.stats.active_fallback);
+  // Same prev, but every user's cloud costs reversed: the k cheapest clouds
+  // now sit where the first slot's support did not, so only the carry can
+  // put that support back into the candidate sets.
+  for (std::size_t j = 0; j < p.num_users; ++j) {
+    for (std::size_t i = 0; i < p.num_clouds / 2; ++i) {
+      std::swap(p.linear_cost[p.index(i, j)],
+                p.linear_cost[p.index(p.num_clouds - 1 - i, j)]);
+    }
+  }
+  const RegularizedSolution carried = solver.solve(p, ws);
+  NewtonWorkspace ws_fresh;
+  const RegularizedSolution fresh = solver.solve(p, ws_fresh);
+  ASSERT_EQ(carried.status, SolveStatus::kOptimal);
+  ASSERT_EQ(fresh.status, SolveStatus::kOptimal);
+  EXPECT_FALSE(carried.stats.active_fallback);
+  EXPECT_FALSE(carried.warm_started);
+  EXPECT_GT(carried.stats.active_nnz, fresh.stats.active_nnz);
+  EXPECT_NEAR(carried.objective_value, fresh.objective_value,
+              1e-5 * (1.0 + std::abs(fresh.objective_value)));
 
-  // Explicit invalidation (what OnlineApprox::reset() calls) drops both
-  // the dual warm start and the carried support.
-  ws.invalidate_warm_start();
+  // Explicit invalidation (what OnlineApprox::reset() calls) drops the
+  // carried support: the next solve is the fresh-workspace one, bit for
+  // bit.
+  ws.invalidate_support();
   const RegularizedSolution third = solver.solve(p, ws);
   ASSERT_EQ(third.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(third.warm_started);
+  EXPECT_EQ(third.stats.active_nnz, fresh.stats.active_nnz);
+  EXPECT_EQ(third.newton_iterations, fresh.newton_iterations);
+  EXPECT_EQ(third.x, fresh.x);
 }
 
 TEST(ActiveSet, ShapeChangeInvalidatesCarriedSupport) {

@@ -81,15 +81,12 @@ TEST(NewtonAlloc, IterationLoopIsAllocationFree) {
   GTEST_SKIP() << "allocation counting is unreliable under sanitizers";
 #endif
   const RegularizedProblem p = sample_problem();
-  // warm_start=false keeps every solve on the cold path: the comparison
-  // below needs the iteration count to be controlled by final_mu alone, not
-  // by how good the previous solve's carried duals happen to be.
+  // Every solve cold-starts, so the iteration count below is controlled by
+  // final_mu alone.
   RegularizedOptions loose;
   loose.final_mu = 1e-4;
-  loose.warm_start = false;
   RegularizedOptions tight;
   tight.final_mu = 1e-10;
-  tight.warm_start = false;
 
   NewtonWorkspace ws;
   // Warm the workspace so setup (resize) allocations are out of the picture.
@@ -118,10 +115,8 @@ TEST(NewtonAlloc, IterationLoopIsAllocationFreeWithMetricsEnabled) {
   const RegularizedProblem p = sample_problem();
   RegularizedOptions loose;
   loose.final_mu = 1e-4;
-  loose.warm_start = false;
   RegularizedOptions tight;
   tight.final_mu = 1e-10;
-  tight.warm_start = false;
 
   NewtonWorkspace ws;
   // Warm-up solve with metrics enabled: registers the handle statics (the
@@ -137,15 +132,13 @@ TEST(NewtonAlloc, IterationLoopIsAllocationFreeWithMetricsEnabled) {
 
 TEST(NewtonAlloc, WorkspaceReuseMatchesFreshWorkspace) {
   const RegularizedProblem p = sample_problem();
-  // Disable cross-slot warm starting: this test checks that reusing the
-  // scratch buffers alone does not change the arithmetic, so the second
-  // solve on `ws` must take the cold path like the fresh-workspace one.
-  RegularizedOptions cold;
-  cold.warm_start = false;
-  const RegularizedSolution fresh = RegularizedSolver(cold).solve(p);
+  // Reusing the scratch buffers must not change the arithmetic: the second
+  // solve on `ws` reproduces the fresh-workspace one.
+  const RegularizedOptions opt;
+  const RegularizedSolution fresh = RegularizedSolver(opt).solve(p);
   NewtonWorkspace ws;
-  (void)RegularizedSolver(cold).solve(p, ws);
-  const RegularizedSolution reused = RegularizedSolver(cold).solve(p, ws);
+  (void)RegularizedSolver(opt).solve(p, ws);
+  const RegularizedSolution reused = RegularizedSolver(opt).solve(p, ws);
   ASSERT_EQ(fresh.status, SolveStatus::kOptimal);
   ASSERT_EQ(reused.status, SolveStatus::kOptimal);
   EXPECT_EQ(fresh.newton_iterations, reused.newton_iterations);

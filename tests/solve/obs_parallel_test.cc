@@ -2,7 +2,7 @@
 // concurrent-update surface of the metrics/trace primitives.
 //
 // The contract (src/obs/metrics.h): reproducible metrics — solve counts,
-// Newton iteration totals, warm-start outcomes, the iteration histogram —
+// Newton iteration totals, the iteration histogram —
 // are recorded only by the thread driving the slot sequence, so their
 // merged totals must be BIT-IDENTICAL for every slot_threads value. The
 // chunk workers feed exactly one metric (the chunk-assembly timing
@@ -69,15 +69,13 @@ RegularizedProblem make_problem(Rng& rng, std::size_t num_clouds,
 struct SolverMetricTotals {
   std::uint64_t solves = 0;
   std::uint64_t newton_iterations = 0;
-  std::uint64_t warm_starts = 0;
-  std::uint64_t warm_fallbacks = 0;
   std::uint64_t iterations_hist_count = 0;
   std::uint64_t iterations_hist_sum = 0;
   std::array<std::uint64_t, obs::kHistogramBuckets> iterations_hist_buckets{};
   std::uint64_t chunk_tasks = 0;  // chunk_assembly_ns count (sum is noise)
 };
 
-// Runs a fixed 3-slot warm-started trajectory with the given thread count
+// Runs a fixed 3-slot trajectory with the given thread count
 // against a zeroed registry and returns the merged totals.
 SolverMetricTotals run_trajectory(int threads) {
   obs::MetricsRegistry::global().reset_values();
@@ -99,8 +97,6 @@ SolverMetricTotals run_trajectory(int threads) {
   SolverMetricTotals totals;
   totals.solves = snap.counter("solver.solves");
   totals.newton_iterations = snap.counter("solver.newton_iterations");
-  totals.warm_starts = snap.counter("solver.warm_starts");
-  totals.warm_fallbacks = snap.counter("solver.warm_fallbacks");
   for (const auto& hist : snap.histograms) {
     if (hist.name == "solver.iterations_per_solve") {
       totals.iterations_hist_count = hist.count;
@@ -124,9 +120,6 @@ TEST_F(ObsParallelTest, MetricTotalsBitIdenticalAcrossThreadCounts) {
     const SolverMetricTotals got = run_trajectory(threads);
     EXPECT_EQ(got.solves, want.solves) << threads << " threads";
     EXPECT_EQ(got.newton_iterations, want.newton_iterations)
-        << threads << " threads";
-    EXPECT_EQ(got.warm_starts, want.warm_starts) << threads << " threads";
-    EXPECT_EQ(got.warm_fallbacks, want.warm_fallbacks)
         << threads << " threads";
     EXPECT_EQ(got.iterations_hist_count, want.iterations_hist_count)
         << threads << " threads";

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/certificate.h"
 #include "common/rng.h"
 #include "solve/regularized_solver.h"
 
@@ -109,10 +110,35 @@ TEST(SlotParallel, SingleSolveBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SlotParallel, WarmStartedTrajectoryBitIdenticalAcrossThreadCounts) {
-  // Warm starting carries duals through the workspace across slots; the
-  // carried state must be thread-count independent too. Three-slot
-  // trajectory where each slot's prev is the previous solution.
+TEST(SlotParallel, MixedPriceSolveCertifiedAndBitIdenticalAcrossThreadCounts) {
+  // Clouds with b_i = 0 next to clouds with b_i > 0 run both versions of
+  // the assembly loop (only the latter read the b_i/τ_j cache), and J = 300
+  // is not a multiple of the 128-user chunk, so the last chunk is ragged.
+  Rng rng(404);
+  RegularizedProblem p = make_problem(rng, 6, 300);
+  for (std::size_t i = 0; i < p.num_clouds; i += 2) {
+    p.migration_price[i] = 0.0;
+  }
+  RegularizedOptions base;
+  base.slot_threads = 1;
+  base.slot_min_users = 1;
+  base.slot_oversubscribe = true;
+  NewtonWorkspace ws_base;
+  const RegularizedSolution want = RegularizedSolver(base).solve(p, ws_base);
+  ASSERT_EQ(want.status, SolveStatus::kOptimal);
+  const algo::CertificateCheck cert = algo::check_certificate(p, want);
+  EXPECT_TRUE(cert.ok()) << cert.violations.front();
+
+  RegularizedOptions opt = base;
+  opt.slot_threads = 3;
+  NewtonWorkspace ws;
+  expect_identical(RegularizedSolver(opt).solve(p, ws), want, 3);
+}
+
+TEST(SlotParallel, TrajectoryBitIdenticalAcrossThreadCounts) {
+  // Three-slot trajectory through one reused workspace, each slot's prev
+  // the previous solution (what OnlineApprox feeds P2): chaining must stay
+  // thread-count independent too.
   constexpr std::size_t kSlots = 3;
   const auto run = [&](int threads) {
     Rng rng(202);
@@ -132,7 +158,7 @@ TEST(SlotParallel, WarmStartedTrajectoryBitIdenticalAcrossThreadCounts) {
     return sols;
   };
   const std::vector<RegularizedSolution> want = run(1);
-  ASSERT_TRUE(want[kSlots - 1].warm_started);
+  ASSERT_EQ(want[kSlots - 1].status, SolveStatus::kOptimal);
   for (const int threads : thread_counts()) {
     const std::vector<RegularizedSolution> got = run(threads);
     ASSERT_EQ(got.size(), want.size());
