@@ -1,8 +1,8 @@
 // Solver microbenchmarks + the repo's performance trajectory harness.
 //
 // Always runs a timing pass and emits `BENCH_solvers.json` (path override:
-// ECA_BENCH_JSON, schema eca.bench_solvers.v4) so future PRs have numbers
-// to regress against:
+// ECA_BENCH_JSON, schema eca.bench_solvers.v5) so future changes have
+// numbers to regress against:
 //  * Newton hot path — a slot sequence of P2 solves with a reused
 //    NewtonWorkspace (the OnlineApprox inner loop): slots/sec, Newton
 //    iterations, ns per Newton iteration.
@@ -13,10 +13,8 @@
 //    J = 64 doubling up to ECA_SWEEP_MAX_USERS, default 8192;
 //    ECA_SWEEP_SLOTS random-walk slots per point, default 4): dense slot ms
 //    with 1 intra-slot thread vs N (ECA_SLOT_THREADS if set, else 8) under
-//    the adaptive-granularity floor, speedup, an active-set leg (slot ms,
-//    speedup over dense, mean/max per-user support, certification rounds,
-//    dense fallbacks), and a bit-identical cross-check of the 1-thread and
-//    N-thread trajectories. Points the floor collapses to serial reuse the
+//    the adaptive-granularity floor, speedup, and a bit-identical
+//    cross-check of the 1-thread and N-thread trajectories. Points the floor collapses to serial reuse the
 //    1-thread measurement (pool_engaged=false, speedup 1.0) — the N-thread
 //    leg would time the byte-identical serial path.
 //
@@ -24,7 +22,6 @@
 // RegularizedSolver scaling) still runs when ECA_GBENCH=1.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -157,7 +154,7 @@ NewtonPerf time_newton_path(const bench::BenchScale& scale) {
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t t = 0; t < scale.slots; ++t) {
     const RegularizedSolution sol = solver.solve(p, ws);
-    perf.newton_iterations += sol.newton_iterations;
+    perf.newton_iterations += sol.stats.newton_iterations;
     ++perf.slots_solved;
     p.prev = sol.x;  // next slot continues the path
   }
@@ -229,12 +226,6 @@ struct TrajectoryPerf {
   double seconds = 0.0;
   long long newton_iterations = 0;
   std::size_t slots = 0;
-  // Active-set leg only: Σ_slots Σ_j |S_j|, the largest per-user support,
-  // the largest admit-and-resolve round count, and dense-fallback slots.
-  long long active_nnz_total = 0;
-  int support_max = 0;
-  int certify_rounds = 0;
-  std::size_t active_fallbacks = 0;
   linalg::Vec final_x;
 };
 
@@ -244,11 +235,9 @@ struct TrajectoryPerf {
 // byte-identical problems.
 TrajectoryPerf run_trajectory(const RegularizedProblem& base,
                               std::size_t slots, int slot_threads,
-                              std::uint64_t walk_seed,
-                              bool active_set = false) {
+                              std::uint64_t walk_seed) {
   RegularizedOptions opt;
   opt.slot_threads = slot_threads;
-  opt.active_set = active_set;
   RegularizedSolver solver(opt);
   NewtonWorkspace ws;
   RegularizedProblem p = base;
@@ -258,15 +247,7 @@ TrajectoryPerf run_trajectory(const RegularizedProblem& base,
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t t = 0; t < slots; ++t) {
     const RegularizedSolution sol = solver.solve(p, ws);
-    perf.newton_iterations += sol.newton_iterations;
-    if (active_set) {
-      perf.active_nnz_total += sol.stats.active_nnz;
-      perf.support_max = std::max(perf.support_max,
-                                  sol.stats.active_support_max);
-      perf.certify_rounds = std::max(perf.certify_rounds,
-                                     sol.stats.active_rounds);
-      if (sol.stats.active_fallback) ++perf.active_fallbacks;
-    }
+    perf.newton_iterations += sol.stats.newton_iterations;
     if (t + 1 == slots) perf.final_x = sol.x;
     p.prev = sol.x;
     for (auto& v : p.linear_cost) v *= walk.uniform(0.9, 1.1);
@@ -283,13 +264,6 @@ struct SweepPoint {
   // Whether the adaptive granularity floor let the N-thread leg actually
   // engage the pool; when false the serial measurement is reused verbatim.
   bool pool_engaged = false;
-  // Active-set leg (1 intra-slot thread, same trajectory).
-  double slot_ms_active = 0.0;
-  double active_speedup = 0.0;  // dense 1-thread / active 1-thread
-  double support_mean = 0.0;    // mean |S_j| over all users and slots
-  int support_max = 0;
-  int certify_rounds = 0;  // worst per-slot admit-and-resolve round count
-  std::size_t active_fallbacks = 0;
   bool bit_identical = false;
 };
 
@@ -343,28 +317,12 @@ SweepPerf time_slot_sweep(const bench::BenchScale& scale) {
       point.speedup = 1.0;
       point.bit_identical = true;
     }
-    const TrajectoryPerf active =
-        run_trajectory(base, sweep.slots_per_point, 1, walk_seed,
-                       /*active_set=*/true);
-    point.slot_ms_active =
-        active.seconds * 1e3 / static_cast<double>(active.slots);
-    point.active_speedup =
-        active.seconds > 0.0 ? one.seconds / active.seconds : 0.0;
-    point.support_mean =
-        static_cast<double>(active.active_nnz_total) /
-        static_cast<double>(active.slots * users);
-    point.support_max = active.support_max;
-    point.certify_rounds = active.certify_rounds;
-    point.active_fallbacks = active.active_fallbacks;
     sweep.points.push_back(point);
     std::printf(
         "sweep J=%5zu: %.2f ms/slot (1 thr), %.2f ms/slot (%zu thr, "
-        "pool=%s), %.2fx; active %.2f ms/slot (%.2fx, support %.2f/%d, "
-        "rounds %d, fallbacks %zu), bit_identical=%s\n",
+        "pool=%s), %.2fx, bit_identical=%s\n",
         users, point.slot_ms_1_thread, point.slot_ms_n_threads,
         sweep.threads, point.pool_engaged ? "on" : "off", point.speedup,
-        point.slot_ms_active, point.active_speedup, point.support_mean,
-        point.support_max, point.certify_rounds, point.active_fallbacks,
         point.bit_identical ? "true" : "false");
   }
   return sweep;
@@ -392,7 +350,7 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
                                    runner.seconds_n_threads
                              : 0.0;
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"eca.bench_solvers.v4\",\n");
+  std::fprintf(out, "  \"schema\": \"eca.bench_solvers.v5\",\n");
   bench::write_meta_json(out);
   bench::write_events_overhead_json(out, events);
   std::fprintf(out,
@@ -424,38 +382,27 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
     std::fprintf(out,
                  "    {\"users\": %zu, \"slot_ms_1_thread\": %.3f, "
                  "\"slot_ms_n_threads\": %.3f, \"speedup\": %.3f, "
-                 "\"pool_engaged\": %s, \"slot_ms_active\": %.3f, "
-                 "\"active_speedup\": %.3f, \"support_mean\": %.3f, "
-                 "\"support_max\": %d, \"certify_rounds\": %d, "
-                 "\"active_fallbacks\": %zu, \"bit_identical\": %s}%s\n",
+                 "\"pool_engaged\": %s, \"bit_identical\": %s}%s\n",
                  p.users, p.slot_ms_1_thread, p.slot_ms_n_threads, p.speedup,
-                 p.pool_engaged ? "true" : "false", p.slot_ms_active,
-                 p.active_speedup, p.support_mean, p.support_max,
-                 p.certify_rounds, p.active_fallbacks,
+                 p.pool_engaged ? "true" : "false",
                  p.bit_identical ? "true" : "false",
                  i + 1 < sweep.points.size() ? "," : "");
   }
   std::fprintf(out, "  ]}");
   // Optional solver-telemetry block (absent with ECA_METRICS=off):
   // process-lifetime registry totals over everything the harness above
-  // solved. Additive — readers of eca.bench_solvers.v4 ignore it.
+  // solved. Additive — readers of eca.bench_solvers.v5 ignore it.
   if (obs::metrics_enabled()) {
     const obs::MetricsSnapshot snap =
         obs::MetricsRegistry::global().snapshot();
     std::fprintf(
         out,
         ",\n  \"telemetry\": {\"solves\": %llu, \"newton_iterations\": %llu, "
-        "\"active_solves\": %llu, \"active_rounds\": %llu, "
-        "\"active_fallbacks\": %llu, "
         "\"assembly_seconds\": %.6f, \"factor_seconds\": %.6f, "
         "\"solve_seconds\": %.6f}",
         static_cast<unsigned long long>(snap.counter("solver.solves")),
         static_cast<unsigned long long>(
             snap.counter("solver.newton_iterations")),
-        static_cast<unsigned long long>(snap.counter("solver.active_solves")),
-        static_cast<unsigned long long>(snap.counter("solver.active_rounds")),
-        static_cast<unsigned long long>(
-            snap.counter("solver.active_fallbacks")),
         snap.double_counter("solver.assembly_seconds"),
         snap.double_counter("solver.factor_seconds"),
         snap.double_counter("solver.solve_seconds"));

@@ -120,9 +120,9 @@ python3 scripts/report_run.py \
   --out "$obs_dir/report.md"
 
 echo "== bench: quick-mode sweep =="
-# Sweep through J=1024 so the perf guard's active-vs-dense gate has a
-# point to check (the sweep itself is cheap; the committed BENCH file is
-# regenerated separately at full scale).
+# Sweep through J=1024: exercises the eca.bench_solvers.v5 emitter and the
+# perf guard's bit-identity and pool-speedup gates (the sweep itself is
+# cheap; the committed BENCH file is regenerated separately at full scale).
 ECA_SWEEP_MAX_USERS=1024 ECA_SWEEP_SLOTS=2 ECA_USERS=15 ECA_SLOTS=8 \
   ECA_REPS=1 ECA_BENCH_JSON=build/BENCH_solvers.quick.json \
   ./build/bench/bench_solvers
@@ -158,7 +158,7 @@ ECA_SCALE_MIN_USERS=200 ECA_SCALE_MAX_USERS=2000 ECA_SCALE_SLOTS=4 \
   ECA_BENCH_SCALE_JSON=build/BENCH_scale.quick.json \
   ./build/bench/bench_scale
 
-echo "== perf guard: active-set + adaptive-granularity + LP-thread + baseline + aggregation gates =="
+echo "== perf guard: bench_solvers.v5 adaptive-granularity + LP-thread + baseline + aggregation gates =="
 python3 scripts/perf_guard.py build/BENCH_solvers.quick.json \
   build/BENCH_offline.quick.json build/BENCH_baselines.quick.json \
   build/BENCH_scale.quick.json

@@ -107,8 +107,6 @@ solve::RegularizedSolution expand_solution(
   solve::RegularizedSolution sol;
   sol.status = collapsed.status;
   sol.objective_value = collapsed.objective_value;
-  sol.newton_iterations = collapsed.newton_iterations;
-  sol.warm_started = collapsed.warm_started;
   sol.stats = collapsed.stats;
   sol.rho = collapsed.rho;
   sol.kappa = collapsed.kappa;

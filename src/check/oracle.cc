@@ -28,7 +28,7 @@ void violate(OracleReport& report, const char* fmt, ...) {
 
 // Base OnlineApprox configuration of the reference leg: dense, cold,
 // serial. Every differential leg perturbs exactly one axis of this. (There
-// is no leg L1: the labels keep their numbers so replay files stay
+// are no legs L1 and L2: the labels keep their numbers so replay files stay
 // comparable.)
 algo::OnlineApproxOptions base_options(const Scenario& s) {
   algo::OnlineApproxOptions o;
@@ -179,17 +179,6 @@ OracleReport run_oracle(const Scenario& scenario,
     if (!scenario.enforce_capacity) {
       report.certificate_bound = certificate.opt_lower_bound(instance);
     }
-  }
-
-  // --- L2: certified active-set --------------------------------------------
-  {
-    algo::OnlineApproxOptions o = base;
-    o.solver.active_set = true;
-    const sim::SimulationResult active = run_leg(instance, o);
-    check_leg(report, instance, active, "L2:active-set",
-              scenario.enforce_capacity, opts);
-    check_agreement(report, "L2:active-set", active.weighted_total,
-                    reference.weighted_total, opts.rel_tol);
   }
 
   // --- L3: user-class aggregation ------------------------------------------

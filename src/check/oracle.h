@@ -4,11 +4,13 @@
 // through every solve path the codebase claims is equivalent:
 //
 //   L0  dense / cold / serial OnlineApprox      (the reference leg)
-//   L2  certified active-set                    (≈ L0 within rel_tol)
 //   L3  user-class aggregated                   (≈ L0 within rel_tol)
 //   L4  slot-parallel (N threads)               (bitwise == its serial twin)
 //   L5  offline IPM vs PDHG on the horizon LP   (≈ each other; each a lower
 //                                                bound on every online leg)
+//
+// (L1, the P2 warm start, and L2, the active-set solve, went with their
+// code paths; the other labels keep their numbers.)
 //
 // plus the per-slot invariants on the reference trajectory: P2 KKT
 // residuals and primal feasibility via algo::check_certificate, the

@@ -1,15 +1,15 @@
 // Deterministic solver fault injection (DESIGN.md §13).
 //
-// Every documented fallback path in the solve stack — active-set → dense,
-// IPM warm → cold retry, skeleton → rebuild, baseline LP-failure recovery — is
-// only exercised when numerics actually go wrong, which hand-written tests
-// cannot arrange on demand. The fault seam makes each failure reachable on
-// purpose: a *plan* names a fault site and the 1-based occurrence at which
-// it fires, exactly once, on the thread that drives the solve. Because the
-// sites are all driving-thread code and occurrences are counted from
-// process start (or from install_fault_plan in tests), a plan is fully
-// deterministic: the same binary, inputs and plan always fault the same
-// solve at the same step.
+// Every documented fallback path in the solve stack — the P2 best-iterate
+// bailout, IPM warm → cold retry, skeleton → rebuild, baseline LP-failure
+// recovery — is only exercised when numerics actually go wrong, which
+// hand-written tests cannot arrange on demand. The fault seam makes each
+// failure reachable on purpose: a *plan* names a fault site and the 1-based
+// occurrence at which it fires, exactly once, on the thread that drives the
+// solve. Because the sites are all driving-thread code and occurrences are
+// counted from process start (or from install_fault_plan in tests), a plan
+// is fully deterministic: the same binary, inputs and plan always fault the
+// same solve at the same step.
 //
 // Plan grammar (ECA_FAULT, or install_fault_plan in tests):
 //
@@ -42,7 +42,8 @@ enum class FaultSite : int {
   // iterative refinement; the iteration's non-finite guard must catch it.
   kNewtonNan,
   // One RegularizedSolver solve runs with its Newton iteration budget
-  // collapsed to a single iteration (iteration-cap exhaustion).
+  // collapsed to a single iteration (iteration-cap exhaustion): it returns
+  // kIterationLimit with its best finite iterate.
   kIterCap,
   // One interior-point LP attempt reports kNumericalError after solving.
   kIpmFail,

@@ -107,9 +107,12 @@ class ThreadPool {
   // Minimum users-worth of work per dispatched intra-slot task, from
   // ECA_SLOT_MIN_CHUNK (default kDefaultSlotMinChunk). Fail-fast: a set but
   // invalid value (non-numeric, zero, negative) exits with status 2 — a
-  // typo must not silently pick the wrong granularity.
+  // typo must not silently pick the wrong granularity. The default keeps
+  // every point of the bench_solvers slot sweep (J <= 8192, I = 15) serial:
+  // on a 4-core x86-64 host the pool measured below 0.95x at every smaller
+  // floor (DESIGN.md §7).
   static std::size_t slot_min_chunk();
-  static constexpr std::size_t kDefaultSlotMinChunk = 1024;
+  static constexpr std::size_t kDefaultSlotMinChunk = 8192;
 
   // Runs fn(i) for every i in [0, count) on this pool's workers and blocks
   // until all calls return. Unlike the static parallel_for, the pool (and

@@ -45,14 +45,14 @@ struct SolveTelemetry {
   bool warm_started = false;
   bool warm_fallback = false;
   // --- Active-set sparsification (schema v2) ---
-  // active_set: the solve was requested on the active-set path;
-  // active_fallback: it ended in the guaranteed dense fallback.
+  // The P2 solver has a single dense Newton path (DESIGN.md §9), so these
+  // stay false/0; like the warm-start flags they are kept so the v3 schema
+  // and the event flags keep their shape. active_set: the solve ran on the
+  // active-set path; active_fallback: it ended in the dense fallback; then
+  // the admit-and-resolve rounds, the number of active variables Σ_j |S_j|,
+  // the largest per-user support and the worst pinned reduced-cost deficit.
   bool active_set = false;
   bool active_fallback = false;
-  // Admit-and-resolve rounds used (0 on the dense path), the final number
-  // of active variables Σ_j |S_j|, the largest per-user support, and the
-  // worst pinned reduced-cost deficit of the final certification sweep
-  // (cost-scale relative; 0 when every pinned variable passed outright).
   int active_rounds = 0;
   long long active_nnz = 0;
   int active_support_max = 0;

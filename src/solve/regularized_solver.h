@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -141,28 +140,6 @@ struct RegularizedOptions {
   // tests use it to force genuine multi-worker interleaving on any
   // machine (results are bit-identical either way; only timing differs).
   bool slot_oversubscribe = false;
-  // --- Active-set sparsification (DESIGN.md §9) ----------------------------
-  // When true, solve a reduced P2 over per-user candidate cloud sets (the
-  // previous slot's support plus the k cheapest clouds), pin every other
-  // variable to its x = 0 floor, and certify the full KKT system after
-  // convergence: pinned variables whose stationarity residual (reduced
-  // cost) is negative beyond tolerance are admitted to the set and the
-  // solve repeats, bounded by active_max_rounds with a guaranteed dense
-  // fallback. false (default) is the dense path, bit-identical to builds
-  // without the active-set feature.
-  bool active_set = false;
-  // Seeding/pruning threshold relative to eps2: previous-slot allocations
-  // above active_prev_rel * eps2 enter the candidate set, and carried
-  // supports are pruned to entries above the same level.
-  double active_prev_rel = 1e-3;
-  // Number of cheapest-l_ij clouds always kept per user (clamped to [1, I]).
-  int active_k_nearest = 4;
-  // Certification tolerance on pinned reduced costs, relative to the cost
-  // scale: pinned (i,j) passes when rc_ij >= -active_kkt_tol * scale — the
-  // same level as the dense solver's dual-residual exit test.
-  double active_kkt_tol = 1e-7;
-  // Maximum admit-and-resolve rounds before falling back to the dense path.
-  int active_max_rounds = 4;
 };
 
 // Reusable scratch for RegularizedSolver::solve — every vector, matrix and
@@ -173,17 +150,10 @@ struct RegularizedOptions {
 // per slot) should hold one workspace across solves, which makes `resize` a
 // no-op and the whole solve allocation-free apart from the returned
 // solution vectors. Every solve cold-starts, so the workspace carries no
-// numeric state between solves; the one exception is the active-set path's
-// certified support, which only seeds the next candidate sets.
+// numeric state between solves.
 struct NewtonWorkspace {
   void resize(std::size_t num_clouds, std::size_t num_users,
               std::size_t chunk_users = 128);
-
-  // Forget the carried active-set support so the next solve seeds its
-  // candidate sets from the problem alone; call when starting an unrelated
-  // trajectory with the same shape (e.g. OnlineApprox::reset between
-  // repetitions).
-  void invalidate_support() { support_valid = false; }
 
   // Makes sure `pool` has exactly `threads` workers (no-op for <= 1).
   void ensure_pool(std::size_t threads);
@@ -213,7 +183,7 @@ struct NewtonWorkspace {
   Vec residual, comp_corr, rhs_i_term, recon_term, rho_except, dx_agg,
       dx_demand;
   // Loop-invariant caches (η_i, τ_j, ε2_j, Xp_i, and b_i/τ_j per entry of
-  // the rows with b_i > 0 — the dense twin of mt_s below).
+  // the rows with b_i > 0).
   Vec eta_cache, tau_cache, eps2_cache, prev_agg, mig_tau;
   // Linear-constraint slacks at the current x.
   Vec slack_agg, slack_demand, slack_comp, slack_cap;
@@ -222,24 +192,6 @@ struct NewtonWorkspace {
   // reduced serially in chunk order.
   Vec chunk_ia, chunk_ib, chunk_pp, chunk_sc;
   static constexpr std::size_t kChunkScalars = 4;
-  // --- Active-set state (sized lazily by the active path; stays empty for
-  // dense-only workspaces). The candidate sets are stored CSR-by-user:
-  // user j's active clouds are sup_cloud[sup_off[j] .. sup_off[j+1])
-  // (ascending), and every packed vector below is indexed by that position.
-  // After the first active solve the buffers are capacity-reusing, so the
-  // reduced Newton loop is allocation-free on the serial path.
-  std::vector<std::size_t> sup_off;      // J+1 offsets
-  std::vector<std::uint32_t> sup_cloud;  // cloud index per packed entry
-  std::vector<unsigned char> active_mask;  // I*J: 1 = in the candidate set
-  // Support of the last certified active solve (pruned), seeding the next
-  // slot's candidate sets; valid only while support_valid.
-  std::vector<unsigned char> carry_mask;
-  bool support_valid = false;
-  // Packed iterates/system pieces of the reduced solve (sized nnz).
-  Vec xs, delta_s, best_xs, best_delta_s, dx_s, ddelta_s, diag_s, inv_diag_s,
-      rdual_s, rhs_s, resid_s;
-  // Packed loop-invariant gathers: l_ij, prev_ij and b_i/τ_j per entry.
-  Vec lin_s, prev_s, mt_s;
   // Persistent worker pool for the chunked passes (null when serial).
   std::unique_ptr<ThreadPool> pool;
 
@@ -258,14 +210,10 @@ struct RegularizedSolution {
   Vec delta;    // non-negativity duals δ_ij ≥ 0, size I*J
   Vec kappa;    // capacity duals κ_i ≥ 0, size I (zero when not enforced)
   double objective_value = 0.0;
-  int newton_iterations = 0;
-  // Always false: every P2 solve cold-starts (DESIGN.md §7). Kept, with
-  // stats.warm_started/warm_fallback, for the telemetry schema.
-  bool warm_started = false;
   // Convergence telemetry: iteration/μ-step counts, KKT residuals at exit
-  // and (when obs::metrics_enabled()) stage timings.
-  // `stats.newton_iterations` and `stats.warm_started` mirror the fields
-  // above, which stay for source compatibility.
+  // and (when obs::metrics_enabled()) stage timings. Every P2 solve
+  // cold-starts on the dense path (DESIGN.md §7, §9), so the warm-start and
+  // active-set fields stay false/0; they remain for the telemetry schema.
   obs::SolveTelemetry stats;
 };
 
@@ -278,20 +226,11 @@ class RegularizedSolver {
   // Same, but reusing a caller-owned workspace: no allocations inside the
   // Newton loop (serial path), and (for same-shaped problems) none during
   // setup either. The result does not depend on what the workspace solved
-  // before (dense path; the active path seeds from the carried support).
+  // before.
   RegularizedSolution solve(const RegularizedProblem& p,
                             NewtonWorkspace& ws) const;
 
  private:
-  // The full-variable interior-point solve (the PR 3 code path; numerics
-  // untouched by the active-set feature).
-  RegularizedSolution solve_dense(const RegularizedProblem& p,
-                                  NewtonWorkspace& ws) const;
-  // The certified active-set solve: reduced interior point over the
-  // candidate sets + full-KKT certification sweep, with dense fallback.
-  RegularizedSolution solve_active(const RegularizedProblem& p,
-                                   NewtonWorkspace& ws) const;
-
   RegularizedOptions options_;
 };
 

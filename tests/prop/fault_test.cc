@@ -102,38 +102,42 @@ TEST_F(FaultTest, SingleShotPlanFiresExactlyOnce) {
   EXPECT_EQ(fault_fired_count(FaultSite::kIpmFail), 1u);
 }
 
-// iter_cap@1 collapses the reduced active-set solve to one Newton
-// iteration; the certified fallback re-solves dense (its own iteration
-// budget untouched — the single-shot occurrence is spent) and the counter
-// flips exactly once.
-TEST_F(FaultTest, ActiveSetIterCapFallsBackToDense) {
+// iter_cap@1 caps one P2 solve at a single Newton iteration: it reports
+// kIterationLimit with a finite best iterate, and the next solve on the same
+// workspace is bitwise equal to a fresh-workspace solve.
+TEST_F(FaultTest, IterCapReportsIterationLimitThenRecovers) {
   const model::Instance instance = default_instance();
   algo::OnlineApproxOptions options;
-  options.solver.active_set = true;
   algo::OnlineApprox algorithm(options);
   const model::Allocation prev(instance.num_clouds, instance.num_users);
   const solve::RegularizedProblem problem =
       algorithm.build_subproblem(instance, 0, prev);
   solve::RegularizedSolver solver(options.solver);
-  solve::NewtonWorkspace ws;
 
   install_fault_plan("iter_cap@1");
+  solve::NewtonWorkspace ws;
   const solve::RegularizedSolution faulted = solver.solve(problem, ws);
   EXPECT_EQ(fault_fired_count(FaultSite::kIterCap), 1u);
-  EXPECT_EQ(faulted.status, solve::SolveStatus::kOptimal);
-  EXPECT_TRUE(faulted.stats.active_fallback);
-  EXPECT_EQ(counter_total("solver.active_fallbacks"), 1u);
+  EXPECT_EQ(faulted.status, solve::SolveStatus::kIterationLimit);
+  EXPECT_EQ(faulted.stats.newton_iterations, 1);
+  ASSERT_EQ(faulted.x.size(), problem.num_clouds * problem.num_users);
+  for (const double v : faulted.x) EXPECT_TRUE(std::isfinite(v));
+  EXPECT_TRUE(std::isfinite(faulted.objective_value));
 
-  // The fallback lands on the dense optimum.
+  // The single-shot occurrence is spent: the same workspace now solves
+  // exactly like a fresh one.
+  const solve::RegularizedSolution recovered = solver.solve(problem, ws);
+  EXPECT_EQ(fault_fired_count(FaultSite::kIterCap), 1u);
   install_fault_plan(nullptr);
-  solve::RegularizedOptions dense = options.solver;
-  dense.active_set = false;
   solve::NewtonWorkspace fresh;
-  const solve::RegularizedSolution reference =
-      solve::RegularizedSolver(dense).solve(problem, fresh);
+  const solve::RegularizedSolution reference = solver.solve(problem, fresh);
   ASSERT_EQ(reference.status, solve::SolveStatus::kOptimal);
-  EXPECT_NEAR(faulted.objective_value, reference.objective_value,
-              1e-6 * (1.0 + std::abs(reference.objective_value)));
+  EXPECT_EQ(recovered.status, reference.status);
+  EXPECT_EQ(recovered.stats.newton_iterations,
+            reference.stats.newton_iterations);
+  EXPECT_TRUE(bitwise_equal(recovered.x, reference.x));
+  EXPECT_TRUE(bitwise_equal(recovered.theta, reference.theta));
+  EXPECT_TRUE(bitwise_equal(recovered.delta, reference.delta));
 }
 
 // A surprise singular Schur factorization triggers the best-iterate

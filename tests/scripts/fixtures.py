@@ -1,6 +1,6 @@
 """Shared fixtures for the script golden tests: minimal-but-valid
 observability artifacts (eca.telemetry.v3, eca.events.v1) and gate inputs
-(eca.prop_summary.v1, eca.bench_solvers.v4) built in memory, plus a helper
+(eca.prop_summary.v1, eca.bench_solvers.v5) built in memory, plus a helper
 that runs a repo script as a subprocess the way check.sh does."""
 import json
 import pathlib
@@ -136,17 +136,16 @@ def make_prop_summary(failures=0):
 
 
 def make_bench_solvers(bit_identical=True, prop_smoke=None):
-    """A minimal eca.bench_solvers.v4 payload; pass prop_smoke (a dict like
+    """A minimal eca.bench_solvers.v5 payload; pass prop_smoke (a dict like
     the one bench_common's write_meta_json emits) to attach the
     verification-gate provenance block."""
     bench = {
-        "schema": "eca.bench_solvers.v4",
+        "schema": "eca.bench_solvers.v5",
         "slot_sweep": {"points": [{
             "users": 32,
             "bit_identical": bit_identical,
             "pool_engaged": False,
             "speedup": 1.0,
-            "slot_ms_active": 0.5,
             "slot_ms_1_thread": 0.4,
         }]},
     }

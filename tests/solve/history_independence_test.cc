@@ -5,8 +5,7 @@
 //   * a fresh workspace,
 //   * the workspace that solved slots 0 … t−1, and
 //   * a workspace last used for a problem of a different shape;
-// and an OnlineApprox run repeated back to back reproduces its trajectory
-// (OnlineApprox::reset drops the active-set support the workspace carries).
+// and an OnlineApprox run repeated back to back reproduces its trajectory.
 #include <algorithm>
 #include <cstddef>
 
@@ -48,7 +47,7 @@ void expect_same_bits(const RegularizedSolution& got,
                       const RegularizedSolution& want, const char* which,
                       std::size_t t) {
   ASSERT_EQ(got.status, want.status) << which << ", slot " << t;
-  EXPECT_EQ(got.newton_iterations, want.newton_iterations)
+  EXPECT_EQ(got.stats.newton_iterations, want.stats.newton_iterations)
       << which << ", slot " << t;
   EXPECT_EQ(got.objective_value, want.objective_value)
       << which << ", slot " << t;
@@ -57,7 +56,7 @@ void expect_same_bits(const RegularizedSolution& got,
   EXPECT_EQ(got.rho, want.rho) << which << ", slot " << t;
   EXPECT_EQ(got.delta, want.delta) << which << ", slot " << t;
   EXPECT_EQ(got.kappa, want.kappa) << which << ", slot " << t;
-  EXPECT_FALSE(got.warm_started) << which << ", slot " << t;
+  EXPECT_FALSE(got.stats.warm_started) << which << ", slot " << t;
 }
 
 TEST(HistoryIndependence, SlotSolveIgnoresWorkspaceHistory) {
@@ -99,22 +98,16 @@ TEST(HistoryIndependence, OnlineApproxRunRepeatsBackToBack) {
   scenario.num_slots = 6;
   scenario.seed = 5;
   const model::Instance instance = sim::make_random_walk_instance(scenario);
-  for (const bool active_set : {false, true}) {
-    algo::OnlineApproxOptions options;
-    options.solver.active_set = active_set;
-    algo::OnlineApprox algorithm(options);
-    const sim::SimulationResult first =
-        sim::Simulator::run(instance, algorithm);
-    const sim::SimulationResult second =
-        sim::Simulator::run(instance, algorithm);
-    ASSERT_EQ(first.allocations.size(), second.allocations.size());
-    for (std::size_t t = 0; t < first.allocations.size(); ++t) {
-      EXPECT_EQ(first.allocations[t].x, second.allocations[t].x)
-          << "active_set=" << active_set << ", slot " << t;
-    }
-    EXPECT_EQ(first.weighted_total, second.weighted_total)
-        << "active_set=" << active_set;
+  algo::OnlineApproxOptions options;
+  algo::OnlineApprox algorithm(options);
+  const sim::SimulationResult first = sim::Simulator::run(instance, algorithm);
+  const sim::SimulationResult second = sim::Simulator::run(instance, algorithm);
+  ASSERT_EQ(first.allocations.size(), second.allocations.size());
+  for (std::size_t t = 0; t < first.allocations.size(); ++t) {
+    EXPECT_EQ(first.allocations[t].x, second.allocations[t].x)
+        << "slot " << t;
   }
+  EXPECT_EQ(first.weighted_total, second.weighted_total);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ SolveProfile profile(const RegularizedProblem& p,
   const RegularizedSolution sol = RegularizedSolver(options).solve(p, ws);
   g_counting.store(false);
   EXPECT_EQ(sol.status, SolveStatus::kOptimal);
-  return {g_alloc_count.load(), sol.newton_iterations};
+  return {g_alloc_count.load(), sol.stats.newton_iterations};
 }
 
 TEST(NewtonAlloc, IterationLoopIsAllocationFree) {
@@ -141,7 +141,7 @@ TEST(NewtonAlloc, WorkspaceReuseMatchesFreshWorkspace) {
   const RegularizedSolution reused = RegularizedSolver(opt).solve(p, ws);
   ASSERT_EQ(fresh.status, SolveStatus::kOptimal);
   ASSERT_EQ(reused.status, SolveStatus::kOptimal);
-  EXPECT_EQ(fresh.newton_iterations, reused.newton_iterations);
+  EXPECT_EQ(fresh.stats.newton_iterations, reused.stats.newton_iterations);
   ASSERT_EQ(fresh.x.size(), reused.x.size());
   for (std::size_t idx = 0; idx < fresh.x.size(); ++idx) {
     EXPECT_EQ(fresh.x[idx], reused.x[idx]) << "x[" << idx << "]";
