@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, ThreadSanitizer smoke of the
-# parallel code paths, the property-harness smoke sweep, the e2ebench
+# parallel code paths, AddressSanitizer smoke of the linalg and solve
+# tests, the property-harness smoke sweep, the e2ebench
 # protocol-parity self-test, and a quick-mode bench sweep that exercises the
 # BENCH_solvers.json emitter end to end.
 #
@@ -12,7 +13,8 @@
 #   ECA_CHECK_SKIP_TSAN=1 scripts/check.sh   # skip the TSan build (slow)
 #   ECA_PROP_SEED=7 scripts/check.sh fuzz    # soak a different seed range
 #
-# Build directories: build/ (tier-1, Release) and build-tsan/ (TSan smoke).
+# Build directories: build/ (tier-1, Release), build-tsan/ (TSan smoke) and
+# build-asan/ (ASan smoke).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,6 +58,15 @@ if [[ "${ECA_CHECK_SKIP_TSAN:-0}" != "1" ]]; then
 else
   echo "== tsan-smoke: skipped (ECA_CHECK_SKIP_TSAN=1) =="
 fi
+
+# AddressSanitizer over the linalg and solve tests: the SIMD kernels,
+# log_simd's bit casts and the solvers' vectorized loops. Only the two test
+# binaries are built, so this leg stays short.
+echo "== asan-smoke: build with -DECA_SANITIZE=address =="
+cmake -B build-asan -S . -DECA_SANITIZE=address
+cmake --build build-asan -j "$jobs" --target test_linalg test_solve
+echo "== asan-smoke: ctest -L asan-smoke =="
+ctest --test-dir build-asan -L asan-smoke --output-on-failure -j "$jobs"
 
 echo "== prop-smoke: differential harness sweep (ctest -L prop-smoke) =="
 ctest --test-dir build -L prop-smoke --output-on-failure

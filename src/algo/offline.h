@@ -22,10 +22,13 @@ struct OfflineOptions {
   enum class Solver { kAuto, kInteriorPoint, kPdhg };
   Solver solver = Solver::kAuto;
   std::size_t ipm_row_limit = 700;
-  // First-order tolerance for the PDHG path. 5e-4 keeps the objective
-  // (the competitive-ratio denominator) within ~0.1% of optimal — far below
-  // the differences the figures report — at a fraction of the tail cost of
-  // chasing 1e-5; see tests/algo/offline_test.cc for the accuracy check.
+  // First-order tolerance for the PDHG path: the stopping bound on the
+  // relative primal residual and duality gap. It does not bound the
+  // objective's error by the same amount, because the stop never checks
+  // the dual residual (solve_offline sets gate_on_dual_residual = false):
+  // on the Fig. 2 taxi hour cases the objective lands up to 2.8e-3 above
+  // the interior-point optimum (tests/algo/offline_test.cc,
+  // DISABLED_PdhgObjectiveWithinToleranceOnTaxiHours).
   double pdhg_tolerance = 5e-4;
   int pdhg_max_iterations = 400000;
   // Worker threads for the PDHG path (0 = resolve from ECA_LP_THREADS,

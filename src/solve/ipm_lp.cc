@@ -243,9 +243,9 @@ void col_multiply(const Impl& sf, std::size_t ncols, const Vec& x, Vec& out) {
   }
 }
 
-// out = A^T y.
+// out = A^T y into a caller-sized buffer (every entry is overwritten).
 void col_multiply_transpose(const Impl& sf, const Vec& y, Vec& out) {
-  out.assign(sf.n, 0.0);
+  ECA_CHECK(out.size() == sf.n);
   for (std::size_t j = 0; j < sf.n; ++j) {
     double acc = 0.0;
     for (std::size_t k = sf.col_start[j]; k < sf.col_start[j + 1]; ++k) {
@@ -314,6 +314,7 @@ double build_warm_candidate(Impl& sf, const LpProblem& lp,
     const std::ptrdiff_t row = sf.row_map[r];
     if (row >= 0) sf.wy[static_cast<std::size_t>(row)] = (*warm.row_duals)[r];
   }
+  sf.w_aty.resize(n);
   col_multiply_transpose(sf, sf.wy, sf.w_aty);
   sf.wz.assign(n, 0.0);
   sf.ww.assign(n, 0.0);
@@ -569,6 +570,9 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   dv_aff.assign(n, 0.0);
   rxz.assign(n, 0.0);
   rwv.assign(n, 0.0);
+  sf.tg.assign(n, 0.0);
+  sf.atg.assign(m, 0.0);
+  sf.atdy.assign(n, 0.0);
   ProfileCholesky& normal = sf.normal;
 
   auto compute_residuals = [&] {
@@ -683,9 +687,6 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
         odv[j] = (rwv_in[j] - v[j] * odw[j]) / w[j];
       }
     };
-    sf.tg.assign(n, 0.0);
-    sf.atg.assign(m, 0.0);
-    sf.atdy.assign(n, 0.0);
 
     auto max_step = [&](const Vec& xx, const Vec& dxx, const Vec& ww,
                         const Vec& dww) {

@@ -11,6 +11,7 @@
 #include "common/log.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/kernels.h"
+#include "linalg/log_simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -47,8 +48,16 @@ double RegularizedProblem::objective(const Vec& x) const {
 }
 
 double RegularizedProblem::objective(const Vec& x, const Vec& prev_agg) const {
+  Vec tau_cache(num_users);
+  for (std::size_t j = 0; j < num_users; ++j) tau_cache[j] = tau(j);
+  return objective(x, prev_agg, tau_cache);
+}
+
+double RegularizedProblem::objective(const Vec& x, const Vec& prev_agg,
+                                     const Vec& tau_cache) const {
   ECA_CHECK(x.size() == num_clouds * num_users);
   ECA_CHECK(prev_agg.size() == num_clouds);
+  ECA_CHECK(tau_cache.size() == num_users);
   double value = linalg::dot(linear_cost, x);
   for (std::size_t i = 0; i < num_clouds; ++i) {
     double agg = 0.0;
@@ -57,7 +66,8 @@ double RegularizedProblem::objective(const Vec& x, const Vec& prev_agg) const {
     if (recon_price[i] > 0.0 && eta_i > 0.0) {
       const double num = agg + eps1;
       const double den = prev_agg[i] + eps1;
-      value += recon_price[i] / eta_i * (num * std::log(num / den) - agg);
+      value += recon_price[i] / eta_i *
+               (num * linalg::log_simd(num / den) - agg);
     }
     if (migration_price[i] > 0.0) {
       for (std::size_t j = 0; j < num_users; ++j) {
@@ -65,8 +75,8 @@ double RegularizedProblem::objective(const Vec& x, const Vec& prev_agg) const {
         const double e2 = eps2_of(j);
         const double num = x[ij] + e2;
         const double den = prev[ij] + e2;
-        value += migration_price[i] / tau(j) *
-                 (num * std::log(num / den) - x[ij]);
+        value += migration_price[i] / tau_cache[j] *
+                 (num * linalg::log_simd(num / den) - x[ij]);
       }
     }
   }
@@ -95,7 +105,7 @@ void RegularizedProblem::gradient_into(const Vec& x, const Vec& prev_agg,
     const double recon_term =
         (recon_price[i] > 0.0 && eta_i > 0.0)
             ? recon_price[i] / eta_i *
-                  std::log((agg + eps1) / (prev_agg[i] + eps1))
+                  linalg::log_simd((agg + eps1) / (prev_agg[i] + eps1))
             : 0.0;
     const double mig = migration_price[i];
     for (std::size_t j = 0; j < num_users; ++j) {
@@ -103,7 +113,8 @@ void RegularizedProblem::gradient_into(const Vec& x, const Vec& prev_agg,
       double g = recon_term;
       if (mig > 0.0) {
         const double e2 = eps2_of(j);
-        g += mig / tau_cache[j] * std::log((x[ij] + e2) / (prev[ij] + e2));
+        g += mig / tau_cache[j] *
+             linalg::log_simd((x[ij] + e2) / (prev[ij] + e2));
       }
       out[ij] += g;
     }
@@ -706,8 +717,8 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
       ws.recon_term[i] =
           (p.recon_price[i] > 0.0 && eta_i > 0.0)
               ? p.recon_price[i] / eta_i *
-                    std::log((ws.slack_agg[i] + p.eps1) /
-                             (ws.prev_agg[i] + p.eps1))
+                    linalg::log_simd((ws.slack_agg[i] + p.eps1) /
+                                     (ws.prev_agg[i] + p.eps1))
               : 0.0;
       ws.rho_except[i] = has_comp ? rho_total - ws.rho[i] : 0.0;
     }
@@ -719,23 +730,40 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
       double comp_part = 0.0;
       for (std::size_t i = 0; i < kI; ++i) {
         const std::size_t base = i * kJ;
-        const double mig = p.migration_price[i];
         const double rterm = ws.recon_term[i];
         const double rex = ws.rho_except[i];
         const double kap = has_cap ? ws.kappa[i] : 0.0;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t ij = base + j;
-          double g = p.linear_cost[ij] + rterm;
-          if (mig > 0.0) {
-            const double e2 = ws.eps2_cache[j];
-            g += ws.mig_tau[ij] *
-                 std::log((ws.x[ij] + e2) / (p.prev[ij] + e2));
+        const double* __restrict lin = p.linear_cost.data() + base;
+        const double* __restrict prev = p.prev.data() + base;
+        const double* __restrict x = ws.x.data() + base;
+        const double* __restrict dl = ws.delta.data() + base;
+        const double* __restrict mt = ws.mig_tau.data() + base;
+        const double* __restrict e2 = ws.eps2_cache.data();
+        const double* __restrict th = ws.theta.data();
+        double* __restrict rdual = ws.r_dual.data() + base;
+        // Element-wise first (vectorizable: log_simd is branch-free and the
+        // max reduction is order-free), one version per row kind; then the
+        // complementarity sum in ascending j, whose order is part of the
+        // bit-identity contract.
+        if (p.migration_price[i] > 0.0) {
+          ECA_SIMD_REDUCTION(max, rmax)
+          for (std::size_t j = j0; j < j1; ++j) {
+            const double g =
+                lin[j] + rterm +
+                mt[j] * linalg::log_simd((x[j] + e2[j]) / (prev[j] + e2[j]));
+            const double rd = g - dl[j] - th[j] - rex + kap;
+            rdual[j] = rd;
+            rmax = std::max(rmax, std::abs(rd));
           }
-          const double rd = g - ws.delta[ij] - ws.theta[j] - rex + kap;
-          ws.r_dual[ij] = rd;
-          rmax = std::max(rmax, std::abs(rd));
-          comp_part += ws.x[ij] * ws.delta[ij];
+        } else {
+          ECA_SIMD_REDUCTION(max, rmax)
+          for (std::size_t j = j0; j < j1; ++j) {
+            const double rd = lin[j] + rterm - dl[j] - th[j] - rex + kap;
+            rdual[j] = rd;
+            rmax = std::max(rmax, std::abs(rd));
+          }
         }
+        for (std::size_t j = j0; j < j1; ++j) comp_part += x[j] * dl[j];
       }
       double sth = 0.0;
       for (std::size_t j = j0; j < j1; ++j) {
@@ -1142,7 +1170,7 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
   sol.rho = has_comp ? (converged ? ws.rho : ws.best_rho) : Vec(kI, 0.0);
   sol.kappa = has_cap ? (converged ? ws.kappa : ws.best_kappa) : Vec(kI, 0.0);
   sol.delta = converged ? ws.delta : ws.best_delta;
-  sol.objective_value = p.objective(sol.x, ws.prev_agg);
+  sol.objective_value = p.objective(sol.x, ws.prev_agg, ws.tau_cache);
   sol.stats.newton_iterations = iter;
   sol.stats.mu_steps = mu_steps;
   sol.stats.kkt_comp_avg = converged ? exit_comp_avg : best_comp_avg;

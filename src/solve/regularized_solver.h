@@ -85,14 +85,17 @@ struct RegularizedProblem {
   [[nodiscard]] double objective(const Vec& x) const;
   // Gradient of the objective at x.
   [[nodiscard]] Vec gradient(const Vec& x) const;
-  // Hot-path variants taking the cached aggregate of `prev` (and, for the
-  // gradient, cached τ_j values) instead of recomputing them per call.
+  // Hot-path variants taking the cached aggregate of `prev` and, where
+  // they have the parameter, the cached τ_j values instead of recomputing
+  // them per call (τ_j is a log1p per user).
   //
   // Contract: `prev_agg` must equal prev_aggregate() for the *current*
   // contents of `prev`, and `tau_cache[j]` must equal tau(j); callers that
   // mutate `prev` (or `demand`/`eps2`) between calls must refresh the
   // caches, otherwise the reported cost and gradient are silently wrong.
   [[nodiscard]] double objective(const Vec& x, const Vec& prev_agg) const;
+  [[nodiscard]] double objective(const Vec& x, const Vec& prev_agg,
+                                 const Vec& tau_cache) const;
   void gradient_into(const Vec& x, const Vec& prev_agg, const Vec& tau_cache,
                      Vec& out) const;
   // η_i (0 when the regularizer is absent, i.e. c_i = 0 or C_i = 0).

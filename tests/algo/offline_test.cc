@@ -1,5 +1,7 @@
 #include "algo/offline.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "algo/baselines.h"
@@ -143,6 +145,35 @@ TEST(Offline, ObjectiveMatchesCostModel) {
           .weighted_total;
   EXPECT_NEAR(offline.objective_value, scored,
               2e-3 * (1.0 + std::abs(scored)));
+}
+
+// Reproducer: OfflineOptions::pdhg_tolerance (5e-4) does not bound the
+// offline objective's error by 5e-4. On the six Fig. 2 taxi hour cases
+// (J=8, T=12, power-law demand: the e2ebench fig2-taxi instances) the
+// default PDHG objective sits 2.6e-3 (3pm), 2.8e-3 (5pm) and 1.1e-3 (8pm)
+// above the interior-point optimum, because its stopping rule never gates
+// on the dual residual. Disabled until the offline solve converges (ROADMAP,
+// certified competitive ratios).
+TEST(Offline, DISABLED_PdhgObjectiveWithinToleranceOnTaxiHours) {
+  sim::ScenarioOptions options;
+  options.num_users = 8;
+  options.num_slots = 12;
+  options.workload.distribution = workload::Distribution::kPower;
+  OfflineOptions ipm_options;
+  ipm_options.solver = OfflineOptions::Solver::kInteriorPoint;
+  OfflineOptions pdhg_options;
+  pdhg_options.solver = OfflineOptions::Solver::kPdhg;
+  for (int hour = 0; hour < 6; ++hour) {
+    const Instance instance = sim::make_rome_taxi_instance(options, hour);
+    const OfflineResult via_ipm = solve_offline(instance, ipm_options);
+    const OfflineResult via_pdhg = solve_offline(instance, pdhg_options);
+    ASSERT_EQ(via_ipm.status, solve::SolveStatus::kOptimal) << hour;
+    ASSERT_EQ(via_pdhg.status, solve::SolveStatus::kOptimal) << hour;
+    EXPECT_LE(std::abs(via_pdhg.objective_value - via_ipm.objective_value),
+              pdhg_options.pdhg_tolerance * std::abs(via_ipm.objective_value))
+        << "hour case " << hour << ": pdhg " << via_pdhg.objective_value
+        << " ipm " << via_ipm.objective_value;
+  }
 }
 
 TEST(OfflineLp, HasExpectedShape) {
